@@ -120,23 +120,23 @@ int main(int argc, char** argv) {
             << always.join_latency.to_ms_f() << "ms\n";
 
   if (!opts.json_path.empty()) {
-    campaign::Json cells = campaign::Json::array();
+    json::Value cells = json::Value::array();
     for (std::size_t cell = 0; cell < grid.cells(); ++cell) {
       const Outcome& o = *outcome.cell(grid, cell).at(0);
-      campaign::Json metrics = campaign::Json::object();
+      json::Value metrics = json::Value::object();
       metrics.set("rha_bandwidth_pct",
-                  campaign::Json::number(o.rha_bandwidth_pct));
+                  json::Value::number(o.rha_bandwidth_pct));
       metrics.set("total_protocol_pct",
-                  campaign::Json::number(o.total_protocol_pct));
+                  json::Value::number(o.total_protocol_pct));
       metrics.set("join_latency_ms",
-                  campaign::Json::number(o.join_latency.to_ms_f()));
-      campaign::Json cell_json = campaign::Json::object();
+                  json::Value::number(o.join_latency.to_ms_f()));
+      json::Value cell_json = json::Value::object();
       cell_json.set("params",
                     campaign::params_json(grid.cell_params(cell)));
       cell_json.set("metrics", std::move(metrics));
       cells.push(std::move(cell_json));
     }
-    campaign::Json root =
+    json::Value root =
         campaign::trajectory_header("ablation_cycle_skip", grid);
     root.set("cells", std::move(cells));
     if (!campaign::emit_trajectory(root, opts)) return 1;

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
                "(8 nodes, 6 survivors):\n\n";
   std::cout << "  victims | naive signalling | FDA (Fig. 6)\n";
   std::cout << "  --------+------------------+-------------\n";
-  campaign::Json agreement_cells = campaign::Json::array();
+  json::Value agreement_cells = json::Value::array();
   bool agreement_ok = true;
   for (std::size_t v = 1; v <= 5; ++v) {
     // Cell layout: victims-major, use_fda minor — {v,0} then {v,1}.
@@ -168,11 +168,11 @@ int main(int argc, char** argv) {
     if (naive != static_cast<int>(6 - v)) agreement_ok = false;
   }
   for (std::size_t cell = 0; cell < agreement.cells(); ++cell) {
-    campaign::Json metrics = campaign::Json::object();
+    json::Value metrics = json::Value::object();
     metrics.set("notified",
-                campaign::Json::integer(
+                json::Value::integer(
                     *agreement_out.cell(agreement, cell).at(0)));
-    campaign::Json cell_json = campaign::Json::object();
+    json::Value cell_json = json::Value::object();
     cell_json.set("params",
                   campaign::params_json(agreement.cell_params(cell)));
     cell_json.set("metrics", std::move(metrics));
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
                "(bits)\n";
   std::cout << "  ------+-------------------------+-----------------------"
                "---\n";
-  campaign::Json clustering_cells = campaign::Json::array();
+  json::Value clustering_cells = json::Value::array();
   bool clustering_ok = true;
   for (std::size_t row = 0; row < 4; ++row) {
     const std::size_t n = clustering.cell_params(row * 2)[0].second;
@@ -203,12 +203,12 @@ int main(int argc, char** argv) {
   }
   for (std::size_t cell = 0; cell < clustering.cells(); ++cell) {
     const ClusterCost& c = *clustering_out.cell(clustering, cell).at(0);
-    campaign::Json metrics = campaign::Json::object();
-    metrics.set("frames", campaign::Json::integer(
+    json::Value metrics = json::Value::object();
+    metrics.set("frames", json::Value::integer(
                               static_cast<std::int64_t>(c.frames)));
     metrics.set("bits",
-                campaign::Json::integer(static_cast<std::int64_t>(c.bits)));
-    campaign::Json cell_json = campaign::Json::object();
+                json::Value::integer(static_cast<std::int64_t>(c.bits)));
+    json::Value cell_json = json::Value::object();
     cell_json.set("params",
                   campaign::params_json(clustering.cell_params(cell)));
     cell_json.set("metrics", std::move(metrics));
@@ -219,10 +219,10 @@ int main(int argc, char** argv) {
                "rests on.\n";
 
   if (!opts.json_path.empty()) {
-    campaign::Json root =
+    json::Value root =
         campaign::trajectory_header("ablation_fda", agreement);
     root.set("cells", std::move(agreement_cells));
-    campaign::Json cl = campaign::trajectory_header("ablation_fda", clustering);
+    json::Value cl = campaign::trajectory_header("ablation_fda", clustering);
     cl.set("cells", std::move(clustering_cells));
     root.set("clustering", std::move(cl));
     if (!campaign::emit_trajectory(root, opts)) return 1;

@@ -35,7 +35,7 @@ struct Outcome {
   sim::Time detection_latency{sim::Time::max()};
   /// obs::MetricsRegistry snapshot of the cell's run (Fig. 10 bookkeeping:
   /// els.frames_sent vs heartbeat.implicit vs els.suppressed).
-  campaign::Json obs;
+  json::Value obs;
 };
 
 /// Periodic base-format traffic that bypasses the CANELy mid encoding —
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
                "detection\n";
   std::cout << "  -----------+-----------+------------+--------------+------"
                "----\n";
-  campaign::Json cells = campaign::Json::array();
+  json::Value cells = json::Value::array();
   bool ok = true;
   for (std::size_t cell = 0; cell < grid.cells(); ++cell) {
     const auto params = grid.cell_params(cell);
@@ -193,22 +193,22 @@ int main(int argc, char** argv) {
       ok = false;  // explicit-only always pays ~1/Th = 100 ELS/s
     }
 
-    campaign::Json metrics = campaign::Json::object();
+    json::Value metrics = json::Value::object();
     metrics.set("els_per_sec_per_node",
-                campaign::Json::number(o.els_per_sec_per_node));
+                json::Value::number(o.els_per_sec_per_node));
     metrics.set("fd_bandwidth_pct",
-                campaign::Json::number(o.fd_bandwidth_pct));
+                json::Value::number(o.fd_bandwidth_pct));
     metrics.set("detection_ms",
-                campaign::Json::number(o.detection_latency.to_ms_f()));
+                json::Value::number(o.detection_latency.to_ms_f()));
     metrics.set("obs", o.obs);
-    campaign::Json cell_json = campaign::Json::object();
+    json::Value cell_json = json::Value::object();
     cell_json.set("params", campaign::params_json(params));
     cell_json.set("metrics", std::move(metrics));
     cells.push(std::move(cell_json));
   }
 
   if (!opts.json_path.empty()) {
-    campaign::Json root =
+    json::Value root =
         campaign::trajectory_header("ablation_heartbeat", grid);
     root.set("cells", std::move(cells));
     if (!campaign::emit_trajectory(root, opts)) return 1;

@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   std::cout << "  ----------+-------------+-------------+------------------"
                "-+----------+--------\n";
 
-  campaign::Json cells = campaign::Json::array();
+  json::Value cells = json::Value::array();
   bool ok = true;
   for (std::size_t cell = 0; cell < grid.cells(); ++cell) {
     const auto trials = outcome.cell(grid, cell);
@@ -201,23 +201,23 @@ int main(int argc, char** argv) {
       }
     }
 
-    campaign::Json metrics = campaign::Json::object();
-    metrics.set("consistency", campaign::Json::number(consistency));
-    metrics.set("false_suspicions", campaign::Json::integer(false_susp));
-    metrics.set("crashes_detected", campaign::Json::integer(detected));
+    json::Value metrics = json::Value::object();
+    metrics.set("consistency", json::Value::number(consistency));
+    metrics.set("false_suspicions", json::Value::integer(false_susp));
+    metrics.set("crashes_detected", json::Value::integer(detected));
     metrics.set("crashes_total",
-                campaign::Json::integer(static_cast<std::int64_t>(
+                json::Value::integer(static_cast<std::int64_t>(
                     trials.size())));
-    metrics.set("protocol_bandwidth_pct", campaign::Json::number(bandwidth));
+    metrics.set("protocol_bandwidth_pct", json::Value::number(bandwidth));
     metrics.set("detection_ms", campaign::summary_json(det));
-    campaign::Json cell_json = campaign::Json::object();
+    json::Value cell_json = json::Value::object();
     cell_json.set("params", campaign::params_json(grid.cell_params(cell)));
     cell_json.set("metrics", std::move(metrics));
     cells.push(std::move(cell_json));
   }
 
   if (!opts.json_path.empty()) {
-    campaign::Json root = campaign::trajectory_header("fault_campaign", grid);
+    json::Value root = campaign::trajectory_header("fault_campaign", grid);
     root.set("cells", std::move(cells));
     if (!campaign::emit_trajectory(root, opts)) return 1;
   }

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
                "model  meas\n";
   std::cout << "  -------+---------------+---------------+---------------+--"
                "-------------\n";
-  campaign::Json cells = campaign::Json::array();
+  json::Value cells = json::Value::array();
   for (std::size_t cell = 0; cell < grid.cells(); ++cell) {
     const auto params = grid.cell_params(cell);
     const int tm_ms = static_cast<int>(params[0].second);
@@ -191,17 +191,17 @@ int main(int argc, char** argv) {
     std::cout << " " << pct(analytic) << " " << pct(measured)
               << (scenario == 3 ? "\n" : " |");
 
-    campaign::Json metrics = campaign::Json::object();
-    metrics.set("model_utilization", campaign::Json::number(analytic));
-    metrics.set("measured_utilization", campaign::Json::number(measured));
-    campaign::Json cell_json = campaign::Json::object();
+    json::Value metrics = json::Value::object();
+    metrics.set("model_utilization", json::Value::number(analytic));
+    metrics.set("measured_utilization", json::Value::number(measured));
+    json::Value cell_json = json::Value::object();
     cell_json.set("params", campaign::params_json(params));
     cell_json.set("metrics", std::move(metrics));
     cells.push(std::move(cell_json));
   }
 
   if (!opts.json_path.empty()) {
-    campaign::Json root = campaign::trajectory_header("fig10_bandwidth", grid);
+    json::Value root = campaign::trajectory_header("fig10_bandwidth", grid);
     root.set("cells", std::move(cells));
     if (!campaign::emit_trajectory(root, opts)) return 1;
   }

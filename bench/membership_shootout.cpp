@@ -74,7 +74,7 @@ struct RunResult {
 struct ShootResult {
   RunResult r;
   bool has_metrics{false};
-  campaign::Json metrics;
+  json::Value metrics;
 };
 
 /// The paper's Ttd must bound the worst-case frame transmission delay.
@@ -311,7 +311,7 @@ ShootResult canely_model(std::size_t n) {
   r.false_positives = 0;
   r.converged = 1;
   r.measured = 0;
-  return ShootResult{r, false, campaign::Json{}};
+  return ShootResult{r, false, json::Value{}};
 }
 
 ShootResult measure(Proto proto, std::size_t n, std::uint64_t seed,
@@ -338,7 +338,7 @@ bool export_traces(const std::string& prefix, std::uint64_t master_seed) {
     }
     const std::string path = prefix + "." + kProtoNames[p] + ".json";
     try {
-      campaign::write_file(
+      json::write_file(
           path, obs::render_trace_json(events, &rec.metrics(), rec.ring()));
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
@@ -397,7 +397,7 @@ int main(int argc, char** argv) {
             << "  proto    n     detect_first  detect_last   bytes/node/s  "
                "view_chg  false_pos  ok\n";
   bool all_converged = true;
-  campaign::Json cells = campaign::Json::array();
+  json::Value cells = json::Value::array();
   for (std::size_t cell = 0; cell < grid.cells(); ++cell) {
     const auto params = grid.cell_params(cell);
     const auto proto = static_cast<std::size_t>(params[0].second);
@@ -416,15 +416,15 @@ int main(int argc, char** argv) {
               << (r.converged == 1 ? "yes" : "NO")
               << (r.measured == 0 ? " *" : "") << "\n";
 
-    campaign::Json metrics = campaign::Json::object();
-    metrics.set("detection_first_ms", campaign::Json::number(r.detect_first_ms));
-    metrics.set("detection_last_ms", campaign::Json::number(r.detect_last_ms));
-    metrics.set("bytes_per_node_s", campaign::Json::number(r.bytes_per_node_s));
-    metrics.set("view_changes", campaign::Json::number(r.view_changes));
-    metrics.set("false_positives", campaign::Json::number(r.false_positives));
-    metrics.set("converged", campaign::Json::number(r.converged));
-    metrics.set("measured", campaign::Json::number(r.measured));
-    campaign::Json cell_json = campaign::Json::object();
+    json::Value metrics = json::Value::object();
+    metrics.set("detection_first_ms", json::Value::number(r.detect_first_ms));
+    metrics.set("detection_last_ms", json::Value::number(r.detect_last_ms));
+    metrics.set("bytes_per_node_s", json::Value::number(r.bytes_per_node_s));
+    metrics.set("view_changes", json::Value::number(r.view_changes));
+    metrics.set("false_positives", json::Value::number(r.false_positives));
+    metrics.set("converged", json::Value::number(r.converged));
+    metrics.set("measured", json::Value::number(r.measured));
+    json::Value cell_json = json::Value::object();
     cell_json.set("params", campaign::params_json(params));
     cell_json.set("metrics", std::move(metrics));
     if (res.has_metrics) cell_json.set("obs_metrics", res.metrics);
@@ -432,7 +432,7 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.json_path.empty()) {
-    campaign::Json root =
+    json::Value root =
         campaign::trajectory_header("membership_shootout", grid);
     root.set("cells", std::move(cells));
     if (!campaign::emit_trajectory(root, opts)) return 1;

@@ -340,12 +340,12 @@ double lint_full_tree_rate() {
   return static_cast<double>(result.files) / secs;
 }
 
-campaign::Json cell(const char* scenario, campaign::Json params,
+json::Value cell(const char* scenario, json::Value params,
                     const char* metric, const campaign::Summary& s) {
-  params.set("scenario", campaign::Json::string(scenario));
-  campaign::Json metrics = campaign::Json::object();
+  params.set("scenario", json::Value::string(scenario));
+  json::Value metrics = json::Value::object();
   metrics.set(metric, campaign::summary_json(s));
-  campaign::Json c = campaign::Json::object();
+  json::Value c = json::Value::object();
   c.set("params", std::move(params));
   c.set("metrics", std::move(metrics));
   return c;
@@ -437,45 +437,45 @@ int main(int argc, char** argv) {
   const auto members_s = campaign::summarize(members);
   report("engine_churn", churn_s, "ops/s");
   report("engine_fifo", fifo_s, "events/s");
-  campaign::Json cells = campaign::Json::array();
-  cells.push(cell("engine_churn", campaign::Json::object(), "events_per_sec",
+  json::Value cells = json::Value::array();
+  cells.push(cell("engine_churn", json::Value::object(), "events_per_sec",
                   churn_s));
-  cells.push(cell("engine_fifo", campaign::Json::object(), "events_per_sec",
+  cells.push(cell("engine_fifo", json::Value::object(), "events_per_sec",
                   fifo_s));
   for (std::size_t bi = 0; bi < std::size(bus_sizes); ++bi) {
     const auto s = campaign::summarize(bus_rates[bi]);
     const std::string label =
         "bus_load_n" + std::to_string(bus_sizes[bi]);
     report(label.c_str(), s, "frames/s");
-    campaign::Json params = campaign::Json::object();
-    params.set("nodes", campaign::Json::integer(
+    json::Value params = json::Value::object();
+    params.set("nodes", json::Value::integer(
                             static_cast<std::int64_t>(bus_sizes[bi])));
     cells.push(cell("bus_load", std::move(params), "frames_per_sec", s));
   }
   report("membership_cycle", members_s, "formations/s");
   {
-    campaign::Json params = campaign::Json::object();
-    params.set("nodes", campaign::Json::integer(8));
+    json::Value params = json::Value::object();
+    params.set("nodes", json::Value::integer(8));
     cells.push(cell("membership_cycle", std::move(params),
                     "formations_per_sec", members_s));
   }
   const auto lint_s = campaign::summarize(lint_tree);
   report("lint_full_tree", lint_s, "files/s");
-  cells.push(cell("lint_full_tree", campaign::Json::object(),
+  cells.push(cell("lint_full_tree", json::Value::object(),
                   "files_per_sec", lint_s));
   const auto net_med_s = campaign::summarize(net_med);
   const auto swim_st_s = campaign::summarize(swim_st);
   report("net_medium_n64", net_med_s, "msgs/s");
   report("swim_steady_n128", swim_st_s, "msgs/s");
   {
-    campaign::Json params = campaign::Json::object();
-    params.set("nodes", campaign::Json::integer(64));
+    json::Value params = json::Value::object();
+    params.set("nodes", json::Value::integer(64));
     cells.push(cell("net_medium", std::move(params), "msgs_per_sec",
                     net_med_s));
   }
   {
-    campaign::Json params = campaign::Json::object();
-    params.set("nodes", campaign::Json::integer(128));
+    json::Value params = json::Value::object();
+    params.set("nodes", json::Value::integer(128));
     cells.push(cell("swim_steady", std::move(params), "msgs_per_sec",
                     swim_st_s));
   }
@@ -499,8 +499,8 @@ int main(int argc, char** argv) {
             << explore_on_s.max / explore_naive_s.max
             << "x faster than naive re-run-from-zero\n";
   for (int naive = 0; naive <= 1; ++naive) {
-    campaign::Json params = campaign::Json::object();
-    params.set("nodes", campaign::Json::integer(8));
+    json::Value params = json::Value::object();
+    params.set("nodes", json::Value::integer(8));
     cells.push(cell(naive != 0 ? "check_explore_naive" : "check_explore",
                     std::move(params), "placements_per_sec",
                     naive != 0 ? explore_naive_s : explore_on_s));
@@ -540,8 +540,8 @@ int main(int argc, char** argv) {
             << 100.0 * (1.0 - tel_on_s.max / tel_off_s.max)
             << "% of check_explore throughput (target <= 2%)\n";
   for (int tel = 0; tel <= 1; ++tel) {
-    campaign::Json params = campaign::Json::object();
-    params.set("tel", campaign::Json::integer(tel));
+    json::Value params = json::Value::object();
+    params.set("tel", json::Value::integer(tel));
     cells.push(cell("telemetry_overhead", std::move(params),
                     "placements_per_sec", tel != 0 ? tel_on_s : tel_off_s));
   }
@@ -555,19 +555,19 @@ int main(int argc, char** argv) {
             << 100.0 * (1.0 - trace_on_s.max / trace_off_s.max)
             << "% of bus_load:8 throughput (target <= 5%)\n";
   for (int obs_on = 0; obs_on <= 1; ++obs_on) {
-    campaign::Json params = campaign::Json::object();
-    params.set("obs", campaign::Json::integer(obs_on));
+    json::Value params = json::Value::object();
+    params.set("obs", json::Value::integer(obs_on));
     cells.push(cell("trace_overhead", std::move(params), "frames_per_sec",
                     obs_on != 0 ? trace_on_s : trace_off_s));
   }
 
   if (!opts.json_path.empty()) {
-    campaign::Json root = campaign::Json::object();
-    root.set("bench", campaign::Json::string("perf_core"));
+    json::Value root = json::Value::object();
+    root.set("bench", json::Value::string("perf_core"));
     root.set("master_seed",
-             campaign::Json::integer(static_cast<std::int64_t>(opts.seed)));
+             json::Value::integer(static_cast<std::int64_t>(opts.seed)));
     root.set("repeats",
-             campaign::Json::integer(static_cast<std::int64_t>(reps)));
+             json::Value::integer(static_cast<std::int64_t>(reps)));
     root.set("cells", std::move(cells));
     if (!campaign::emit_trajectory(root, opts)) return 1;
   }

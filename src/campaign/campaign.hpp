@@ -26,8 +26,8 @@
 #include "campaign/aggregate.hpp"
 #include "campaign/cli.hpp"
 #include "campaign/grid.hpp"
-#include "campaign/json.hpp"
 #include "campaign/runner.hpp"
+#include "json/json.hpp"
 
 namespace canely::campaign {
 
@@ -35,20 +35,20 @@ namespace canely::campaign {
 /// appends the "cells" array.  The worker thread count is deliberately
 /// NOT recorded — trajectories from different --threads must be
 /// byte-identical.
-[[nodiscard]] inline Json trajectory_header(const std::string& bench,
-                                            const Grid& grid) {
-  Json axes = Json::object();
+[[nodiscard]] inline json::Value trajectory_header(const std::string& bench,
+                                                   const Grid& grid) {
+  json::Value axes = json::Value::object();
   for (const Grid::Axis& a : grid.axes()) {
-    Json values = Json::array();
-    for (double v : a.values) values.push(Json::number(v));
+    json::Value values = json::Value::array();
+    for (double v : a.values) values.push(json::Value::number(v));
     axes.set(a.name, std::move(values));
   }
-  Json root = Json::object();
-  root.set("bench", Json::string(bench));
+  json::Value root = json::Value::object();
+  root.set("bench", json::Value::string(bench));
   root.set("master_seed",
-           Json::integer(static_cast<std::int64_t>(grid.seed())));
-  root.set("repeats",
-           Json::integer(static_cast<std::int64_t>(grid.repeat_count())));
+           json::Value::integer(static_cast<std::int64_t>(grid.seed())));
+  root.set("repeats", json::Value::integer(
+                          static_cast<std::int64_t>(grid.repeat_count())));
   root.set("axes", std::move(axes));
   return root;
 }
@@ -56,10 +56,10 @@ namespace canely::campaign {
 /// Write the finished trajectory to opts.json_path.  I/O failure prints
 /// to stderr and returns false — a bad --json path must exit non-zero,
 /// not abort on an uncaught exception.
-[[nodiscard]] inline bool emit_trajectory(const Json& root,
+[[nodiscard]] inline bool emit_trajectory(const json::Value& root,
                                           const CliOptions& opts) {
   try {
-    write_file(opts.json_path, root.dump(2));
+    json::write_file(opts.json_path, root.dump(2));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return false;
@@ -69,24 +69,26 @@ namespace canely::campaign {
 }
 
 /// A cell's parameter assignment as a JSON object.
-[[nodiscard]] inline Json params_json(
+[[nodiscard]] inline json::Value params_json(
     const std::vector<std::pair<std::string, double>>& params) {
-  Json obj = Json::object();
-  for (const auto& [name, value] : params) obj.set(name, Json::number(value));
+  json::Value obj = json::Value::object();
+  for (const auto& [name, value] : params) {
+    obj.set(name, json::Value::number(value));
+  }
   return obj;
 }
 
 /// A Summary as the schema's summary-object.
-[[nodiscard]] inline Json summary_json(const Summary& s) {
-  Json obj = Json::object();
-  obj.set("count", Json::integer(static_cast<std::int64_t>(s.count)));
-  obj.set("mean", Json::number(s.mean));
-  obj.set("min", Json::number(s.min));
-  obj.set("max", Json::number(s.max));
-  obj.set("p50", Json::number(s.p50));
-  obj.set("p90", Json::number(s.p90));
-  obj.set("p99", Json::number(s.p99));
-  obj.set("stddev", Json::number(s.stddev));
+[[nodiscard]] inline json::Value summary_json(const Summary& s) {
+  json::Value obj = json::Value::object();
+  obj.set("count", json::Value::integer(static_cast<std::int64_t>(s.count)));
+  obj.set("mean", json::Value::number(s.mean));
+  obj.set("min", json::Value::number(s.min));
+  obj.set("max", json::Value::number(s.max));
+  obj.set("p50", json::Value::number(s.p50));
+  obj.set("p90", json::Value::number(s.p90));
+  obj.set("p99", json::Value::number(s.p99));
+  obj.set("stddev", json::Value::number(s.stddev));
   return obj;
 }
 

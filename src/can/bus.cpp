@@ -5,8 +5,8 @@
 
 namespace canely::can {
 
-Bus::Bus(sim::Engine& engine, BusConfig config, const sim::Tracer* tracer)
-    : engine_{engine}, config_{config}, tracer_{tracer} {}
+Bus::Bus(sim::Engine& engine, BusConfig config)
+    : engine_{engine}, config_{config} {}
 
 void Bus::attach(Controller& controller) {
   if (controller.node() >= kMaxNodes) {
@@ -446,13 +446,6 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
     }
   }
 
-  if (tracer_ != nullptr) {
-    tracer_->emit(engine_.now(), sim::TraceLevel::kDebug, "bus", [&] {
-      return sim::cat_str(frame, " from ", int{rec.transmitter},
-                          " outcome=", static_cast<int>(rec.outcome),
-                          " bits=", bits);
-    });
-  }
   if (recorder_ != nullptr) record_frame_end(rec, orphaned);
   if (observer_) {
     // Invoke a copy: the observer may replace/clear itself mid-call.

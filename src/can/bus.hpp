@@ -27,7 +27,6 @@
 #include "can/types.hpp"
 #include "obs/recorder.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace canely::can {
 
@@ -89,8 +88,7 @@ class ReceptionFilter {
 /// The shared broadcast channel.
 class Bus {
  public:
-  explicit Bus(sim::Engine& engine, BusConfig config = {},
-               const sim::Tracer* tracer = nullptr);
+  explicit Bus(sim::Engine& engine, BusConfig config = {});
   Bus(const Bus&) = delete;
   Bus& operator=(const Bus&) = delete;
 
@@ -188,7 +186,6 @@ class Bus {
 
   sim::Engine& engine_;
   BusConfig config_;
-  const sim::Tracer* tracer_;
   FaultInjector* injector_{nullptr};
   ReceptionFilter* filter_{nullptr};
   obs::Recorder* recorder_{nullptr};

@@ -2,27 +2,23 @@
 
 namespace canely {
 
-CanDriver::CanDriver(can::Controller& controller, sim::Engine& engine,
-                     const sim::Tracer* tracer)
-    : controller_{controller}, engine_{engine}, tracer_{tracer} {
+CanDriver::CanDriver(can::Controller& controller, sim::Engine& engine)
+    : controller_{controller}, engine_{engine} {
   controller_.set_client(this);
 }
 
 void CanDriver::can_data_req(const Mid& mid,
                              std::span<const std::uint8_t> data) {
-  trace("data.req", mid);
   controller_.request_tx(
       can::Frame::make_data(mid.encode(), data, can::IdFormat::kExtended));
 }
 
 void CanDriver::can_rtr_req(const Mid& mid) {
-  trace("rtr.req", mid);
   controller_.request_tx(
       can::Frame::make_remote(mid.encode(), 0, can::IdFormat::kExtended));
 }
 
 std::size_t CanDriver::can_abort_req(const Mid& mid) {
-  trace("abort.req", mid);
   const std::uint32_t id = mid.encode();
   return controller_.abort_matching([id](const can::Frame& f) {
     return f.format == can::IdFormat::kExtended && f.id == id;
@@ -53,12 +49,10 @@ void CanDriver::on_rx(const can::Frame& frame, bool own) {
   const auto mid = Mid::decode(frame);
   if (!mid.has_value()) return;  // non-CANELy traffic
   if (frame.remote) {
-    trace(own ? "rtr.ind(own)" : "rtr.ind", *mid);
     if (auto& h = rtr_ind_[slot(mid->type)]; h) h(*mid, own);
   } else {
     // The .nty extension fires for every data frame, before the data
     // indication, own transmissions included (§5, §6.3).
-    trace(own ? "data.nty(own)" : "data.nty", *mid);
     for (auto& h : data_nty_) h(*mid);
     if (auto& h = data_ind_[slot(mid->type)]; h) h(*mid, frame.payload(), own);
   }
@@ -67,7 +61,6 @@ void CanDriver::on_rx(const can::Frame& frame, bool own) {
 void CanDriver::on_tx_confirm(const can::Frame& frame) {
   const auto mid = Mid::decode(frame);
   if (!mid.has_value()) return;
-  trace(frame.remote ? "rtr.cnf" : "data.cnf", *mid);
   if (frame.remote) {
     if (auto& h = rtr_cnf_[slot(mid->type)]; h) h(*mid);
   } else {
@@ -77,16 +70,6 @@ void CanDriver::on_tx_confirm(const can::Frame& frame) {
 
 void CanDriver::on_bus_off() {
   if (bus_off_) bus_off_();
-}
-
-void CanDriver::trace(const char* what, const Mid& mid) const {
-  if (tracer_ != nullptr) {
-    tracer_->emit(engine_.now(), sim::TraceLevel::kDebug, "drv", [&] {
-      return sim::cat_str("n", int{controller_.node()}, " ", what, " ",
-                          to_string(mid.type), " ref=", int{mid.ref},
-                          " node=", int{mid.node});
-    });
-  }
 }
 
 }  // namespace canely

@@ -25,7 +25,6 @@
 #include "can/frame.hpp"
 #include "canely/mid.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace canely {
 
@@ -41,8 +40,7 @@ class CanDriver final : public can::ControllerClient {
   using CnfHandler = std::function<void(const Mid&)>;
   using DataNtyHandler = std::function<void(const Mid&)>;
 
-  CanDriver(can::Controller& controller, sim::Engine& engine,
-            const sim::Tracer* tracer = nullptr);
+  CanDriver(can::Controller& controller, sim::Engine& engine);
 
   [[nodiscard]] can::NodeId node() const { return controller_.node(); }
   [[nodiscard]] can::Controller& controller() { return controller_; }
@@ -92,11 +90,9 @@ class CanDriver final : public can::ControllerClient {
  private:
   static constexpr std::size_t kTypeSlots = 32;
   static std::size_t slot(MsgType t) { return static_cast<std::size_t>(t) % kTypeSlots; }
-  void trace(const char* what, const Mid& mid) const;
 
   can::Controller& controller_;
   sim::Engine& engine_;
-  const sim::Tracer* tracer_;
   std::array<DataIndHandler, kTypeSlots> data_ind_{};
   std::array<RtrIndHandler, kTypeSlots> rtr_ind_{};
   std::array<CnfHandler, kTypeSlots> data_cnf_{};

@@ -4,10 +4,9 @@ namespace canely {
 
 FailureDetector::FailureDetector(CanDriver& driver, sim::TimerService& timers,
                                  FdaProtocol& fda, const Params& params,
-                                 const sim::Tracer* tracer,
                                  obs::Recorder* recorder)
     : driver_{driver}, timers_{timers}, fda_{fda}, params_{params},
-      tracer_{tracer}, recorder_{recorder} {
+      recorder_{recorder} {
   if (recorder_ != nullptr) {
     obs::MetricsRegistry& m = recorder_->metrics();
     ctr_els_sent_ = &m.counter("els.frames_sent");
@@ -123,12 +122,6 @@ void FailureDetector::on_expiry(can::NodeId r) {
   } else {
     // f09-f10: remote node silent beyond Th + Ttd => it has failed;
     // disseminate consistently through FDA.
-    if (tracer_ != nullptr) {
-      tracer_->emit(driver_.engine().now(), sim::TraceLevel::kInfo, "fd", [&] {
-        return sim::cat_str("n", int{driver_.node()}, " suspects node ",
-                            int{r});
-      });
-    }
     if (recorder_ != nullptr) {
       obs::Event ev;
       ev.when = driver_.engine().now();

@@ -30,7 +30,6 @@ class FailureDetector {
 
   FailureDetector(CanDriver& driver, sim::TimerService& timers,
                   FdaProtocol& fda, const Params& params,
-                  const sim::Tracer* tracer = nullptr,
                   obs::Recorder* recorder = nullptr);
   FailureDetector(const FailureDetector&) = delete;
   FailureDetector& operator=(const FailureDetector&) = delete;
@@ -75,7 +74,6 @@ class FailureDetector {
   sim::TimerService& timers_;
   FdaProtocol& fda_;
   const Params& params_;
-  const sim::Tracer* tracer_;
   obs::Recorder* recorder_;
   obs::Counter* ctr_els_sent_{nullptr};
   obs::Counter* ctr_els_suppressed_{nullptr};

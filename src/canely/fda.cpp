@@ -2,9 +2,8 @@
 
 namespace canely {
 
-FdaProtocol::FdaProtocol(CanDriver& driver, const sim::Tracer* tracer,
-                         obs::Recorder* recorder)
-    : driver_{driver}, tracer_{tracer}, recorder_{recorder} {
+FdaProtocol::FdaProtocol(CanDriver& driver, obs::Recorder* recorder)
+    : driver_{driver}, recorder_{recorder} {
   if (recorder_ != nullptr) {
     ctr_rounds_ = &recorder_->metrics().counter("fda.rounds");
     ctr_ntys_ = &recorder_->metrics().counter("fda.ntys");
@@ -39,12 +38,6 @@ void FdaProtocol::on_rtr_ind(const Mid& mid) {
   int& ndup = fs_ndup_[failed];
   ndup += 1;                     // r01
   if (ndup != 1) return;         // duplicates are absorbed
-  if (tracer_ != nullptr) {
-    tracer_->emit(driver_.engine().now(), sim::TraceLevel::kInfo, "fda", [&] {
-      return sim::cat_str("n", int{driver_.node()}, " nty failed=",
-                          int{failed});
-    });
-  }
   ++ntys_;
   if (recorder_ != nullptr) {
     obs::Event ev;

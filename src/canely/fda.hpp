@@ -26,8 +26,7 @@ class FdaProtocol {
  public:
   using NtyHandler = std::function<void(can::NodeId failed)>;
 
-  explicit FdaProtocol(CanDriver& driver, const sim::Tracer* tracer = nullptr,
-                       obs::Recorder* recorder = nullptr);
+  explicit FdaProtocol(CanDriver& driver, obs::Recorder* recorder = nullptr);
   FdaProtocol(const FdaProtocol&) = delete;
   FdaProtocol& operator=(const FdaProtocol&) = delete;
 
@@ -80,7 +79,6 @@ class FdaProtocol {
   void on_rtr_ind(const Mid& mid);  // lines r00-r09
 
   CanDriver& driver_;
-  const sim::Tracer* tracer_;
   obs::Recorder* recorder_;
   obs::Counter* ctr_rounds_{nullptr};
   obs::Counter* ctr_ntys_{nullptr};

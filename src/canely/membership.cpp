@@ -6,10 +6,9 @@ MembershipService::MembershipService(CanDriver& driver,
                                      sim::TimerService& timers,
                                      RhaProtocol& rha, FailureDetector& fd,
                                      FdaProtocol& fda, const Params& params,
-                                     const sim::Tracer* tracer,
                                      obs::Recorder* recorder)
     : driver_{driver}, timers_{timers}, rha_{rha}, fd_{fd}, fda_{fda},
-      params_{params}, tracer_{tracer}, recorder_{recorder} {
+      params_{params}, recorder_{recorder} {
   if (recorder_ != nullptr) {
     obs::MetricsRegistry& m = recorder_->metrics();
     ctr_view_changes_ = &m.counter("msh.view_changes");
@@ -75,8 +74,7 @@ void MembershipService::msh_can_req_leave() {
     ff_.clear();
     ++views_;
     record_view_install();
-    trace([] { return "singleton leave: no peer can acknowledge; retiring "
-                      "locally"; });
+    // Singleton leave: no peer can acknowledge, so retire locally.
     if (view_obs_) view_obs_(rf_);
     if (change_) change_(can::NodeSet{}, can::NodeSet{driver_.node()});
     return;
@@ -87,9 +85,6 @@ void MembershipService::msh_can_req_leave() {
 void MembershipService::on_join_ind(const Mid& mid) {
   if (!started_) return;  // only service participants collect requests
   rj_.insert(mid.node);   // s05
-  trace([&] {
-    return sim::cat_str("join request from ", int{mid.node}, " rj=", rj_);
-  });
 }
 
 void MembershipService::on_leave_ind(const Mid& mid) {
@@ -102,9 +97,6 @@ void MembershipService::on_fd_nty(can::NodeId r) {
   // s13-s16: immediate (consistent) notification of a node crash; the
   // view itself is amended at the next cycle (msh-view-proc).
   ff_.insert(r);
-  trace([&] {
-    return sim::cat_str("node ", int{r}, " failed; active=", rf_.minus(ff_));
-  });
   msh_chg_nty(rf_.minus(ff_), can::NodeSet{r});  // s15
 }
 
@@ -135,14 +127,12 @@ void MembershipService::cycle(bool timer_expired) {
       // no live full member — bootstrap a (temporary) view from the join
       // requests observed so far.
       rf_ = rj_;
-      trace([&] { return sim::cat_str("bootstrap view from joins: ", rf_); });
     } else {
       // Deviation (documented): the node has *learned* a view through RHA
       // (full members are alive) but its own join has not succeeded —
       // e.g. the JOIN was pruned after two cycles (footnote 10).
       // Bootstrapping here would inject a bogus tiny RHV and collapse the
       // members' view through the intersection rule; re-announce instead.
-      trace([] { return "join retry: full members exist, re-announcing"; });
       driver_.can_rtr_req(Mid{MsgType::kJoin, 0, driver_.node()});
       rj_.insert(driver_.node());
     }
@@ -208,7 +198,6 @@ void MembershipService::msh_view_proc(can::NodeSet rw) {
   if (rf_ != before) {
     ++views_;
     record_view_install();
-    trace([&] { return sim::cat_str("view installed: ", rf_); });
     if (view_obs_) view_obs_(rf_);
   }
   // Deviation (documented): a node that drops out of the view while alive

@@ -40,9 +40,7 @@ class MembershipService {
 
   MembershipService(CanDriver& driver, sim::TimerService& timers,
                     RhaProtocol& rha, FailureDetector& fd, FdaProtocol& fda,
-                    const Params& params,
-                    const sim::Tracer* tracer = nullptr,
-                    obs::Recorder* recorder = nullptr);
+                    const Params& params, obs::Recorder* recorder = nullptr);
   MembershipService(const MembershipService&) = delete;
   MembershipService& operator=(const MembershipService&) = delete;
 
@@ -108,25 +106,12 @@ class MembershipService {
   void restart_cycle_timer(sim::Time duration);
   void record_view_install();  // obs: kViewInstall + settle histogram
 
-  /// Lazy trace helper: `make_text` runs only when tracing is enabled.
-  template <typename MakeText>
-  void trace(MakeText&& make_text) const {
-    if (tracer_ != nullptr) {
-      tracer_->emit(driver_.engine().now(), sim::TraceLevel::kInfo, "msh",
-                    [&] {
-                      return sim::cat_str("n", int{driver_.node()}, " ",
-                                          make_text());
-                    });
-    }
-  }
-
   CanDriver& driver_;
   sim::TimerService& timers_;
   RhaProtocol& rha_;
   FailureDetector& fd_;
   FdaProtocol& fda_;
   const Params& params_;
-  const sim::Tracer* tracer_;
   obs::Recorder* recorder_;
   obs::Counter* ctr_view_changes_{nullptr};
   obs::Histogram* hist_settle_{nullptr};

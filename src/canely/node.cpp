@@ -3,17 +3,17 @@
 namespace canely {
 
 Node::Node(can::Bus& bus, can::NodeId id, const Params& params,
-           const sim::Tracer* tracer, obs::Recorder* recorder)
+           std::nullptr_t, obs::Recorder* recorder)
     : engine_{bus.engine()},
       params_{params},
       recorder_{recorder},
       controller_{id, bus},
-      driver_{controller_, engine_, tracer},
+      driver_{controller_, engine_},
       timers_{engine_},
-      fda_{driver_, tracer, recorder},
-      rha_{driver_, timers_, params_, tracer, recorder},
-      fd_{driver_, timers_, fda_, params_, tracer, recorder},
-      msh_{driver_, timers_, rha_, fd_, fda_, params_, tracer, recorder},
+      fda_{driver_, recorder},
+      rha_{driver_, timers_, params_, recorder},
+      fd_{driver_, timers_, fda_, params_, recorder},
+      msh_{driver_, timers_, rha_, fd_, fda_, params_, recorder},
       groups_{driver_, msh_} {
   controller_.set_recorder(recorder);
   fda_.set_agreement(params_.fda_agreement);
@@ -100,8 +100,7 @@ void Node::hash_state(sim::StateHasher& h) const {
   // (fd, fda, rha, msh, groups), then the periodic traffic streams.
   // Exclusions beyond what each component documents: crash_at() events
   // (never used by the checked harness — it crashes nodes synchronously
-  // from the bus observer) and the tracer/recorder wiring (pure
-  // observation).
+  // from the bus observer) and the recorder wiring (pure observation).
   h.feed_bool(crashed_);
   controller_.hash_state(h);
   fd_.hash_state(h);

@@ -20,6 +20,7 @@
 // zero extra bandwidth for failure detection (§6.3).
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -49,8 +50,9 @@ class Node {
                                         std::span<const std::uint8_t> data,
                                         bool own)>;
 
+  // nullptr_t: the retired tracer slot, still passed by perfbench/layers.cpp.
   Node(can::Bus& bus, can::NodeId id, const Params& params,
-       const sim::Tracer* tracer = nullptr, obs::Recorder* recorder = nullptr);
+       std::nullptr_t = nullptr, obs::Recorder* recorder = nullptr);
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 

@@ -25,10 +25,8 @@ can::NodeSet from_wire(std::span<const std::uint8_t> payload) {
 }  // namespace
 
 RhaProtocol::RhaProtocol(CanDriver& driver, sim::TimerService& timers,
-                         const Params& params, const sim::Tracer* tracer,
-                         obs::Recorder* recorder)
-    : driver_{driver}, timers_{timers}, params_{params}, tracer_{tracer},
-      recorder_{recorder} {
+                         const Params& params, obs::Recorder* recorder)
+    : driver_{driver}, timers_{timers}, params_{params}, recorder_{recorder} {
   if (recorder_ != nullptr) {
     ctr_executions_ = &recorder_->metrics().counter("rha.executions");
   }
@@ -62,11 +60,6 @@ void RhaProtocol::rha_init_send(can::NodeSet rw) {
     rhv_ = sets.full.united(sets.joining).minus(sets.leaving).intersected(rw);
   } else {
     rhv_ = rw;  // a05: non-members adopt the received vector
-  }
-  if (tracer_ != nullptr) {
-    tracer_->emit(driver_.engine().now(), sim::TraceLevel::kInfo, "rha", [&] {
-      return sim::cat_str("n", int{driver_.node()}, " init rhv=", rhv_);
-    });
   }
   if (recorder_ != nullptr) {
     obs::Event ev;
@@ -118,11 +111,6 @@ void RhaProtocol::on_data_ind(const Mid& /*mid*/,
 
 void RhaProtocol::on_alarm() {
   // r14-r18: the execution ends; deliver the agreed vector upward.
-  if (tracer_ != nullptr) {
-    tracer_->emit(driver_.engine().now(), sim::TraceLevel::kInfo, "rha", [&] {
-      return sim::cat_str("n", int{driver_.node()}, " end rhv=", rhv_);
-    });
-  }
   const can::NodeSet agreed = rhv_;
   ++executions_;
   if (recorder_ != nullptr) {

@@ -54,8 +54,7 @@ class RhaProtocol {
   using NtyHandler = std::function<void(RhaEvent, can::NodeSet)>;
 
   RhaProtocol(CanDriver& driver, sim::TimerService& timers,
-              const Params& params, const sim::Tracer* tracer = nullptr,
-              obs::Recorder* recorder = nullptr);
+              const Params& params, obs::Recorder* recorder = nullptr);
   RhaProtocol(const RhaProtocol&) = delete;
   RhaProtocol& operator=(const RhaProtocol&) = delete;
 
@@ -115,7 +114,6 @@ class RhaProtocol {
   CanDriver& driver_;
   sim::TimerService& timers_;
   const Params& params_;
-  const sim::Tracer* tracer_;
   obs::Recorder* recorder_;
   obs::Counter* ctr_executions_{nullptr};
   SharedSetsProvider shared_;

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "check/json_reader.hpp"
-
 namespace canely::check {
 namespace {
 
@@ -14,16 +12,8 @@ constexpr const char* kSchemaV1 = "canely-check-1";
 
 // ------------------------------------------------------------- writing
 
-campaign::Json nodeset_json(can::NodeSet set) {
-  campaign::Json arr = campaign::Json::array();
-  for (can::NodeId id : set) {
-    arr.push(campaign::Json::integer(static_cast<std::int64_t>(id)));
-  }
-  return arr;
-}
-
-campaign::Json time_ns(sim::Time t) {
-  return campaign::Json::integer(t.to_ns());
+json::Value time_ns(sim::Time t) {
+  return json::Value::integer(t.to_ns());
 }
 
 /// Payload shape of an event kind.  kFrameTx carries the 16-byte frame
@@ -66,46 +56,42 @@ constexpr obs::EventKind kAllKinds[] = {
     obs::EventKind::kViewInstall,   obs::EventKind::kNodeJoin,
     obs::EventKind::kNodeLeave,     obs::EventKind::kNodeCrash};
 
-campaign::Json flight_json(const FlightRecording& flight) {
-  campaign::Json events = campaign::Json::array();
+json::Value flight_json(const FlightRecording& flight) {
+  json::Value events = json::Value::array();
   for (const obs::Event& ev : flight.events) {
-    campaign::Json e = campaign::Json::object();
-    e.set("t_ns", campaign::Json::integer(ev.when.to_ns()));
-    e.set("kind", campaign::Json::string(obs::to_string(ev.kind)));
-    e.set("node",
-          campaign::Json::integer(static_cast<std::int64_t>(ev.node)));
+    json::Value e = json::Value::object();
+    e.set("t_ns", json::Value::integer(ev.when.to_ns()));
+    e.set("kind", json::Value::string(obs::to_string(ev.kind)));
+    e.set("node", json::Value::integer(ev.node));
     switch (shape_of(ev.kind)) {
       case PayloadShape::kFrame:
-        e.set("id", campaign::Json::integer(ev.u.frame.id));
-        e.set("bits", campaign::Json::integer(ev.u.frame.bits));
-        e.set("dur_ns", campaign::Json::integer(ev.u.frame.dur_ns));
-        e.set("outcome", campaign::Json::integer(ev.u.frame.outcome));
-        e.set("attempt", campaign::Json::integer(ev.u.frame.attempt));
-        e.set("remote", campaign::Json::integer(ev.u.frame.remote));
-        e.set("orphaned", campaign::Json::integer(ev.u.frame.orphaned));
+        e.set("id", json::Value::integer(ev.u.frame.id));
+        e.set("bits", json::Value::integer(ev.u.frame.bits));
+        e.set("dur_ns", json::Value::integer(ev.u.frame.dur_ns));
+        e.set("outcome", json::Value::integer(ev.u.frame.outcome));
+        e.set("attempt", json::Value::integer(ev.u.frame.attempt));
+        e.set("remote", json::Value::integer(ev.u.frame.remote));
+        e.set("orphaned", json::Value::integer(ev.u.frame.orphaned));
         break;
       case PayloadShape::kPeer:
-        e.set("peer",
-              campaign::Json::integer(static_cast<std::int64_t>(
-                  ev.u.peer.peer)));
+        e.set("peer", json::Value::integer(ev.u.peer.peer));
         break;
       case PayloadShape::kView:
         // 64-bit bitmap: serialized as a decimal string like trace_hash,
         // out of int64 range paranoia.
-        e.set("members", campaign::Json::string(
-                             std::to_string(ev.u.view.members)));
+        e.set("members",
+              json::Value::string(std::to_string(ev.u.view.members)));
         break;
       case PayloadShape::kNone:
         break;
     }
     events.push(std::move(e));
   }
-  campaign::Json root = campaign::Json::object();
-  root.set("ring_capacity",
-           campaign::Json::integer(
-               static_cast<std::int64_t>(flight.ring_capacity)));
-  root.set("dropped", campaign::Json::integer(
-                          static_cast<std::int64_t>(flight.dropped)));
+  json::Value root = json::Value::object(
+      {{"ring_capacity",
+        json::Value::integer(static_cast<std::int64_t>(flight.ring_capacity))},
+       {"dropped",
+        json::Value::integer(static_cast<std::int64_t>(flight.dropped))}});
   root.set("events", std::move(events));
   if (flight.has_metrics) root.set("metrics", flight.metrics);
   return root;
@@ -113,20 +99,19 @@ campaign::Json flight_json(const FlightRecording& flight) {
 
 }  // namespace
 
-campaign::Json artifact_json(const Artifact& artifact) {
+json::Value artifact_json(const Artifact& artifact) {
   const ScenarioConfig& cfg = artifact.scenario;
-  campaign::Json scenario = campaign::Json::object();
-  scenario.set("n", campaign::Json::integer(
-                        static_cast<std::int64_t>(cfg.n)));
-  scenario.set("clustering", campaign::Json::boolean(cfg.clustering));
+  json::Value scenario = json::Value::object();
+  scenario.set("n", json::Value::integer(static_cast<std::int64_t>(cfg.n)));
+  scenario.set("clustering", json::Value::boolean(cfg.clustering));
   scenario.set("fda_agreement",
-               campaign::Json::boolean(cfg.params.fda_agreement));
+               json::Value::boolean(cfg.params.fda_agreement));
   scenario.set("skip_idle_cycles",
-               campaign::Json::boolean(cfg.params.skip_idle_cycles));
+               json::Value::boolean(cfg.params.skip_idle_cycles));
   scenario.set("omission_degree_k",
-               campaign::Json::integer(cfg.params.omission_degree_k));
+               json::Value::integer(cfg.params.omission_degree_k));
   scenario.set("inconsistent_degree_j",
-               campaign::Json::integer(cfg.params.inconsistent_degree_j));
+               json::Value::integer(cfg.params.inconsistent_degree_j));
   scenario.set("heartbeat_ns", time_ns(cfg.params.heartbeat_period));
   scenario.set("tx_delay_ns", time_ns(cfg.params.tx_delay_bound));
   scenario.set("cycle_ns", time_ns(cfg.params.membership_cycle));
@@ -137,29 +122,18 @@ campaign::Json artifact_json(const Artifact& artifact) {
   scenario.set("settle_ns", time_ns(cfg.settle));
   scenario.set("latency_margin_ns", time_ns(cfg.latency_margin));
 
-  campaign::Json script = campaign::Json::array();
-  for (const FaultEvent& ev : artifact.script) {
-    campaign::Json e = campaign::Json::object();
-    e.set("tx", campaign::Json::integer(static_cast<std::int64_t>(ev.tx)));
-    e.set("op", campaign::Json::string(
-                    ev.op == FaultOp::kOmit ? "omit" : "error"));
-    e.set("victims", nodeset_json(ev.victims));
-    e.set("crash_sender", campaign::Json::boolean(ev.crash_sender));
-    script.push(std::move(e));
-  }
-
-  campaign::Json violation = campaign::Json::object();
-  violation.set("monitor", campaign::Json::string(artifact.violation.monitor));
+  json::Value violation = json::Value::object();
+  violation.set("monitor", json::Value::string(artifact.violation.monitor));
   violation.set("when_ns", time_ns(artifact.violation.when));
-  violation.set("detail", campaign::Json::string(artifact.violation.detail));
+  violation.set("detail", json::Value::string(artifact.violation.detail));
 
-  campaign::Json root = campaign::Json::object();
-  root.set("schema", campaign::Json::string(kSchema));
-  root.set("monitor", campaign::Json::string(artifact.monitor));
+  json::Value root = json::Value::object();
+  root.set("schema", json::Value::string(kSchema));
+  root.set("monitor", json::Value::string(artifact.monitor));
   root.set("trace_hash",
-           campaign::Json::string(std::to_string(artifact.trace_hash)));
+           json::Value::string(std::to_string(artifact.trace_hash)));
   root.set("scenario", std::move(scenario));
-  root.set("script", std::move(script));
+  root.set("script", script_json(artifact.script));
   root.set("violation", std::move(violation));
   if (artifact.flight.present) {
     root.set("flight", flight_json(artifact.flight));
@@ -168,47 +142,50 @@ campaign::Json artifact_json(const Artifact& artifact) {
 }
 
 void write_artifact(const std::string& path, const Artifact& artifact) {
-  campaign::write_file(path, artifact_json(artifact).dump(2) + "\n");
+  json::write_file(path, artifact_json(artifact).dump(2) + "\n");
 }
 
 // ------------------------------------------------------------- parsing
 
 namespace {
 
-using jsonin::Value;
+using json::Value;
 constexpr const char* kWhat = "artifact JSON";
 
 const Value& require(const Value& obj, const std::string& key,
                      Value::Kind kind) {
-  return jsonin::require(obj, key, kind, kWhat);
+  return json::require(obj, key, kind, kWhat);
 }
 
 std::int64_t get_int(const Value& obj, const std::string& key) {
-  return jsonin::get_int(obj, key, kWhat);
+  return json::get_int(obj, key, kWhat);
 }
 
 bool get_bool(const Value& obj, const std::string& key) {
-  return jsonin::get_bool(obj, key, kWhat);
+  return json::get_bool(obj, key, kWhat);
+}
+
+const std::string& get_string(const Value& obj, const std::string& key) {
+  return json::get_string(obj, key, kWhat);
 }
 
 }  // namespace
 
 Artifact load_artifact(const std::string& path) {
-  const std::string text = jsonin::read_file(path, kWhat);
-  const Value root = jsonin::parse(text, kWhat);
-  if (root.kind != Value::Kind::kObject) {
+  const std::string text = json::read_file(path, kWhat);
+  const Value root = json::parse(text, kWhat);
+  if (root.kind() != Value::Kind::kObject) {
     throw std::runtime_error("artifact JSON: root is not an object");
   }
-  const std::string& schema = require(root, "schema", Value::Kind::kString).s;
+  const std::string& schema = get_string(root, "schema");
   if (schema != kSchema && schema != kSchemaV1) {
     throw std::runtime_error("artifact JSON: unknown schema");
   }
 
   Artifact artifact;
-  artifact.monitor = require(root, "monitor", Value::Kind::kString).s;
-  artifact.trace_hash = std::strtoull(
-      require(root, "trace_hash", Value::Kind::kString).s.c_str(), nullptr,
-      10);
+  artifact.monitor = get_string(root, "monitor");
+  artifact.trace_hash =
+      std::strtoull(get_string(root, "trace_hash").c_str(), nullptr, 10);
 
   const Value& sc = require(root, "scenario", Value::Kind::kObject);
   ScenarioConfig& cfg = artifact.scenario;
@@ -231,56 +208,32 @@ Artifact load_artifact(const std::string& path) {
   cfg.settle = sim::Time::ns(get_int(sc, "settle_ns"));
   cfg.latency_margin = sim::Time::ns(get_int(sc, "latency_margin_ns"));
 
-  for (const Value& e : require(root, "script", Value::Kind::kArray).array) {
-    if (e.kind != Value::Kind::kObject) {
-      throw std::runtime_error("artifact JSON: script event is not an object");
-    }
-    FaultEvent ev;
-    ev.tx = static_cast<std::uint64_t>(get_int(e, "tx"));
-    const std::string& op = require(e, "op", Value::Kind::kString).s;
-    if (op == "omit") {
-      ev.op = FaultOp::kOmit;
-    } else if (op == "error") {
-      ev.op = FaultOp::kError;
-    } else {
-      throw std::runtime_error("artifact JSON: unknown op '" + op + "'");
-    }
-    for (const Value& id :
-         require(e, "victims", Value::Kind::kArray).array) {
-      if (id.kind != Value::Kind::kInt || id.i < 0 ||
-          id.i >= static_cast<std::int64_t>(can::kMaxNodes)) {
-        throw std::runtime_error("artifact JSON: bad victim id");
-      }
-      ev.victims.insert(static_cast<can::NodeId>(id.i));
-    }
-    ev.crash_sender = get_bool(e, "crash_sender");
-    artifact.script.push_back(ev);
-  }
+  artifact.script =
+      parse_script(require(root, "script", Value::Kind::kArray), kWhat);
 
   const Value& vio = require(root, "violation", Value::Kind::kObject);
-  artifact.violation.monitor =
-      require(vio, "monitor", Value::Kind::kString).s;
+  artifact.violation.monitor = get_string(vio, "monitor");
   artifact.violation.when = sim::Time::ns(get_int(vio, "when_ns"));
-  artifact.violation.detail = require(vio, "detail", Value::Kind::kString).s;
+  artifact.violation.detail = get_string(vio, "detail");
 
   // Flight recorder: optional (v1 artifacts, or v2 written without a
   // recorder attached).
   const Value* fl = root.find("flight");
-  if (fl != nullptr && fl->kind == Value::Kind::kObject) {
+  if (fl != nullptr && fl->kind() == Value::Kind::kObject) {
     FlightRecording& flight = artifact.flight;
     flight.present = true;
     flight.ring_capacity =
         static_cast<std::size_t>(get_int(*fl, "ring_capacity"));
     flight.dropped = static_cast<std::uint64_t>(get_int(*fl, "dropped"));
     for (const Value& e :
-         require(*fl, "events", Value::Kind::kArray).array) {
-      if (e.kind != Value::Kind::kObject) {
+         require(*fl, "events", Value::Kind::kArray).items()) {
+      if (e.kind() != Value::Kind::kObject) {
         throw std::runtime_error(
             "artifact JSON: flight event is not an object");
       }
       obs::Event ev;
       ev.when = sim::Time::ns(get_int(e, "t_ns"));
-      const std::string& kind = require(e, "kind", Value::Kind::kString).s;
+      const std::string& kind = get_string(e, "kind");
       bool known = false;
       for (const obs::EventKind k : kAllKinds) {
         if (kind == obs::to_string(k)) {
@@ -313,9 +266,8 @@ Artifact load_artifact(const std::string& path) {
           ev.u.peer.peer = static_cast<std::uint8_t>(get_int(e, "peer"));
           break;
         case PayloadShape::kView:
-          ev.u.view.members = std::strtoull(
-              require(e, "members", Value::Kind::kString).s.c_str(),
-              nullptr, 10);
+          ev.u.view.members =
+              std::strtoull(get_string(e, "members").c_str(), nullptr, 10);
           break;
         case PayloadShape::kNone:
           break;
@@ -323,9 +275,9 @@ Artifact load_artifact(const std::string& path) {
       flight.events.push_back(ev);
     }
     const Value* metrics = fl->find("metrics");
-    if (metrics != nullptr && metrics->kind == Value::Kind::kObject) {
+    if (metrics != nullptr && metrics->kind() == Value::Kind::kObject) {
       flight.has_metrics = true;
-      flight.metrics = jsonin::to_json(*metrics);
+      flight.metrics = *metrics;
     }
   }
   return artifact;

@@ -10,9 +10,8 @@
 // monitor still fires and that the wire trace hashes to the recorded
 // value.
 //
-// Writing goes through campaign::Json (insertion-ordered, deterministic
-// bytes).  Reading uses the checker's shared minimal JSON reader
-// (check/json_reader.hpp).
+// Reading and writing go through json::Value (src/json: insertion-ordered,
+// deterministic bytes).
 //
 // Schema history: "canely-check-1" carried scenario + script + violation
 // only; "canely-check-2" adds the optional flight-recorder payload (the
@@ -25,9 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "campaign/json.hpp"
 #include "check/fault_script.hpp"
 #include "check/harness.hpp"
+#include "json/json.hpp"
 #include "obs/event.hpp"
 
 namespace canely::check {
@@ -42,7 +41,7 @@ struct FlightRecording {
   std::uint64_t dropped{0};
   std::vector<obs::Event> events;
   bool has_metrics{false};
-  campaign::Json metrics;  ///< MetricsRegistry::snapshot_json(true)
+  json::Value metrics;  ///< MetricsRegistry::snapshot_json(true)
 };
 
 struct Artifact {
@@ -55,7 +54,7 @@ struct Artifact {
 };
 
 /// Serialize (deterministic bytes).
-[[nodiscard]] campaign::Json artifact_json(const Artifact& artifact);
+[[nodiscard]] json::Value artifact_json(const Artifact& artifact);
 
 /// Write `artifact` to `path`; throws std::runtime_error on I/O failure.
 void write_artifact(const std::string& path, const Artifact& artifact);

@@ -19,10 +19,12 @@
 // (Controller::crash clears the transmit queue).
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "can/fault.hpp"
 #include "can/types.hpp"
+#include "json/json.hpp"
 
 namespace canely::check {
 
@@ -42,6 +44,15 @@ struct FaultEvent {
 };
 
 using FaultScript = std::vector<FaultEvent>;
+
+/// The JSON array form shared by counterexample artifacts and frontier
+/// files: [{"tx", "op": "omit"|"error", "victims": [ids], "crash_sender"}].
+[[nodiscard]] json::Value script_json(const FaultScript& script);
+
+/// Inverse of script_json(); throws std::runtime_error prefixed with
+/// `what` on a malformed event.
+[[nodiscard]] FaultScript parse_script(const json::Value& arr,
+                                       const std::string& what);
 
 /// Deterministic injector driven by a FaultScript.  The first event whose
 /// `tx` matches the attempt index fires (events are one-shot by

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "check/harness.hpp"
-#include "check/json_reader.hpp"
 
 namespace canely::check {
 namespace {
@@ -14,77 +13,31 @@ namespace {
 constexpr const char* kSchema = "canely-frontier-1";
 constexpr const char* kWhat = "frontier JSON";
 
-using jsonin::Value;
+using json::Value;
 
 const Value& require(const Value& obj, const std::string& key,
                      Value::Kind kind) {
-  return jsonin::require(obj, key, kind, kWhat);
+  return json::require(obj, key, kind, kWhat);
 }
 
 std::int64_t get_int(const Value& obj, const std::string& key) {
-  return jsonin::get_int(obj, key, kWhat);
+  return json::get_int(obj, key, kWhat);
 }
 
 bool get_bool(const Value& obj, const std::string& key) {
-  return jsonin::get_bool(obj, key, kWhat);
+  return json::get_bool(obj, key, kWhat);
+}
+
+const std::string& get_string(const Value& obj, const std::string& key) {
+  return json::get_string(obj, key, kWhat);
 }
 
 std::uint64_t get_u64_string(const Value& obj, const std::string& key) {
-  return std::strtoull(require(obj, key, Value::Kind::kString).s.c_str(),
-                       nullptr, 10);
+  return std::strtoull(get_string(obj, key).c_str(), nullptr, 10);
 }
 
-campaign::Json u64_string(std::uint64_t v) {
-  return campaign::Json::string(std::to_string(v));
-}
-
-campaign::Json script_json(const FaultScript& script) {
-  campaign::Json arr = campaign::Json::array();
-  for (const FaultEvent& ev : script) {
-    campaign::Json e = campaign::Json::object();
-    e.set("tx", campaign::Json::integer(static_cast<std::int64_t>(ev.tx)));
-    e.set("op", campaign::Json::string(
-                    ev.op == FaultOp::kOmit ? "omit" : "error"));
-    campaign::Json victims = campaign::Json::array();
-    for (can::NodeId id : ev.victims) {
-      victims.push(campaign::Json::integer(static_cast<std::int64_t>(id)));
-    }
-    e.set("victims", std::move(victims));
-    e.set("crash_sender", campaign::Json::boolean(ev.crash_sender));
-    arr.push(std::move(e));
-  }
-  return arr;
-}
-
-FaultScript parse_script(const Value& arr) {
-  FaultScript script;
-  for (const Value& e : arr.array) {
-    if (e.kind != Value::Kind::kObject) {
-      throw std::runtime_error(std::string{kWhat} +
-                               ": script event is not an object");
-    }
-    FaultEvent ev;
-    ev.tx = static_cast<std::uint64_t>(get_int(e, "tx"));
-    const std::string& op = require(e, "op", Value::Kind::kString).s;
-    if (op == "omit") {
-      ev.op = FaultOp::kOmit;
-    } else if (op == "error") {
-      ev.op = FaultOp::kError;
-    } else {
-      throw std::runtime_error(std::string{kWhat} + ": unknown op '" + op +
-                               "'");
-    }
-    for (const Value& id : require(e, "victims", Value::Kind::kArray).array) {
-      if (id.kind != Value::Kind::kInt || id.i < 0 ||
-          id.i >= static_cast<std::int64_t>(can::kMaxNodes)) {
-        throw std::runtime_error(std::string{kWhat} + ": bad victim id");
-      }
-      ev.victims.insert(static_cast<can::NodeId>(id.i));
-    }
-    ev.crash_sender = get_bool(e, "crash_sender");
-    script.push_back(ev);
-  }
-  return script;
+json::Value u64_string(std::uint64_t v) {
+  return json::Value::string(std::to_string(v));
 }
 
 void fold_string(std::uint64_t& h, const std::string& s) {
@@ -110,36 +63,36 @@ std::uint64_t fold_records(const std::vector<FrontierRecord>& records) {
   return h;
 }
 
-campaign::Json frontier_json(const FrontierFile& frontier) {
-  campaign::Json records = campaign::Json::array();
+json::Value frontier_json(const FrontierFile& frontier) {
+  json::Value records = json::Value::array();
   for (const FrontierRecord& r : frontier.records) {
-    campaign::Json rec = campaign::Json::object();
-    rec.set("u", campaign::Json::integer(static_cast<std::int64_t>(r.u)));
-    rec.set("j", campaign::Json::integer(static_cast<std::int64_t>(r.j)));
+    json::Value rec = json::Value::object();
+    rec.set("u", json::Value::integer(static_cast<std::int64_t>(r.u)));
+    rec.set("j", json::Value::integer(static_cast<std::int64_t>(r.j)));
     rec.set("key", u64_string(r.key));
-    rec.set("violated", campaign::Json::boolean(r.violated));
+    rec.set("violated", json::Value::boolean(r.violated));
     if (r.violated) {
-      campaign::Json vio = campaign::Json::object();
-      vio.set("monitor", campaign::Json::string(r.violation.monitor));
-      vio.set("when_ns", campaign::Json::integer(r.violation.when.to_ns()));
-      vio.set("detail", campaign::Json::string(r.violation.detail));
+      json::Value vio = json::Value::object();
+      vio.set("monitor", json::Value::string(r.violation.monitor));
+      vio.set("when_ns", json::Value::integer(r.violation.when.to_ns()));
+      vio.set("detail", json::Value::string(r.violation.detail));
       rec.set("violation", std::move(vio));
       rec.set("script", script_json(r.script));
     }
     records.push(std::move(rec));
   }
 
-  campaign::Json root = campaign::Json::object();
-  root.set("schema", campaign::Json::string(kSchema));
+  json::Value root = json::Value::object();
+  root.set("schema", json::Value::string(kSchema));
   root.set("fingerprint", u64_string(frontier.fingerprint));
-  root.set("total", campaign::Json::integer(
+  root.set("total", json::Value::integer(
                         static_cast<std::int64_t>(frontier.total)));
-  root.set("shard_index", campaign::Json::integer(frontier.shard_index));
-  root.set("shard_count", campaign::Json::integer(frontier.shard_count));
-  root.set("cursor", campaign::Json::integer(
+  root.set("shard_index", json::Value::integer(frontier.shard_index));
+  root.set("shard_count", json::Value::integer(frontier.shard_count));
+  root.set("cursor", json::Value::integer(
                          static_cast<std::int64_t>(frontier.cursor)));
-  root.set("complete", campaign::Json::boolean(frontier.complete));
-  root.set("partial", campaign::Json::boolean(frontier.partial));
+  root.set("complete", json::Value::boolean(frontier.complete));
+  root.set("partial", json::Value::boolean(frontier.partial));
   root.set("aggregate", u64_string(fold_records(frontier.records)));
   root.set("records", std::move(records));
   return root;
@@ -147,7 +100,7 @@ campaign::Json frontier_json(const FrontierFile& frontier) {
 
 void write_frontier(const std::string& path, const FrontierFile& frontier) {
   const std::string tmp = path + ".tmp";
-  campaign::write_file(tmp, frontier_json(frontier).dump(1) + "\n");
+  json::write_file(tmp, frontier_json(frontier).dump(1) + "\n");
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw std::runtime_error("frontier: cannot rename " + tmp + " to " +
                              path);
@@ -155,12 +108,12 @@ void write_frontier(const std::string& path, const FrontierFile& frontier) {
 }
 
 FrontierFile load_frontier(const std::string& path) {
-  const std::string text = jsonin::read_file(path, kWhat);
-  const Value root = jsonin::parse(text, kWhat);
-  if (root.kind != Value::Kind::kObject) {
+  const std::string text = json::read_file(path, kWhat);
+  const Value root = json::parse(text, kWhat);
+  if (root.kind() != Value::Kind::kObject) {
     throw std::runtime_error(std::string{kWhat} + ": root is not an object");
   }
-  if (require(root, "schema", Value::Kind::kString).s != kSchema) {
+  if (get_string(root, "schema") != kSchema) {
     throw std::runtime_error(std::string{kWhat} + ": unknown schema");
   }
 
@@ -173,8 +126,9 @@ FrontierFile load_frontier(const std::string& path) {
   f.complete = get_bool(root, "complete");
   f.partial = get_bool(root, "partial");
 
-  for (const Value& rv : require(root, "records", Value::Kind::kArray).array) {
-    if (rv.kind != Value::Kind::kObject) {
+  for (const Value& rv :
+       require(root, "records", Value::Kind::kArray).items()) {
+    if (rv.kind() != Value::Kind::kObject) {
       throw std::runtime_error(std::string{kWhat} +
                                ": record is not an object");
     }
@@ -185,10 +139,11 @@ FrontierFile load_frontier(const std::string& path) {
     r.violated = get_bool(rv, "violated");
     if (r.violated) {
       const Value& vio = require(rv, "violation", Value::Kind::kObject);
-      r.violation.monitor = require(vio, "monitor", Value::Kind::kString).s;
+      r.violation.monitor = get_string(vio, "monitor");
       r.violation.when = sim::Time::ns(get_int(vio, "when_ns"));
-      r.violation.detail = require(vio, "detail", Value::Kind::kString).s;
-      r.script = parse_script(require(rv, "script", Value::Kind::kArray));
+      r.violation.detail = get_string(vio, "detail");
+      r.script =
+          parse_script(require(rv, "script", Value::Kind::kArray), kWhat);
     }
     f.records.push_back(std::move(r));
   }

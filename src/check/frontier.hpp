@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "campaign/json.hpp"
 #include "check/fault_script.hpp"
 #include "check/monitor.hpp"
+#include "json/json.hpp"
 
 namespace canely::check {
 
@@ -65,7 +65,7 @@ struct FrontierFile {
 
 /// Serialize (deterministic bytes; `aggregate` is recomputed from the
 /// records, not trusted).
-[[nodiscard]] campaign::Json frontier_json(const FrontierFile& frontier);
+[[nodiscard]] json::Value frontier_json(const FrontierFile& frontier);
 
 /// Write `frontier` to `path` atomically (temp file + rename); throws
 /// std::runtime_error on I/O failure.

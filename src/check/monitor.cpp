@@ -1,8 +1,9 @@
 #include "check/monitor.hpp"
 
 #include <algorithm>
-
-#include "sim/trace.hpp"
+#include <sstream>
+#include <string>
+#include <utility>
 
 namespace canely::check {
 
@@ -25,11 +26,19 @@ bool is_infix(const std::vector<can::NodeSet>& a,
 
 namespace {
 
+/// Build a string from streamable pieces: cat_str("node ", 3, " failed").
+template <typename... Args>
+[[nodiscard]] std::string cat_str(Args&&... args) {
+  std::ostringstream os;
+  (os << ... << std::forward<Args>(args));
+  return os.str();
+}
+
 std::string seq_str(const std::vector<can::NodeSet>& seq) {
   std::string out = "[";
   for (std::size_t i = 0; i < seq.size(); ++i) {
     if (i != 0) out += " ";
-    out += sim::cat_str(seq[i]);
+    out += cat_str(seq[i]);
   }
   return out + "]";
 }
@@ -64,8 +73,8 @@ void FdaAgreementMonitor::finish(const EndState& end,
           end.crash_time[failed] >= d.when) {
         out.push_back(Violation{
             std::string{name()}, d.when,
-            sim::cat_str("n", int{at}, " delivered failure-sign for node ",
-                         int{failed}, " which had not crashed")});
+            cat_str("n", int{at}, " delivered failure-sign for node ",
+                    int{failed}, " which had not crashed")});
       }
     }
     // Agreement: earliest correct-node delivery obligates every correct
@@ -83,9 +92,9 @@ void FdaAgreementMonitor::finish(const EndState& end,
       if (!first_[at][failed].delivered) {
         out.push_back(Violation{
             std::string{name()}, end.end,
-            sim::cat_str("failure-sign for node ", int{failed},
-                         " delivered at some correct node (first ",
-                         earliest, ") but never at n", int{at})});
+            cat_str("failure-sign for node ", int{failed},
+                    " delivered at some correct node (first ",
+                    earliest, ") but never at n", int{at})});
       }
     }
   }
@@ -122,9 +131,9 @@ void RhaAgreementMonitor::finish(const EndState& end,
       if (!is_infix(seqs_[a], seqs_[b])) {
         out.push_back(Violation{
             std::string{name()}, end.end,
-            sim::cat_str("agreed-RHV sequences diverge: n", int{a}, "=",
-                         seq_str(seqs_[a]), " n", int{b}, "=",
-                         seq_str(seqs_[b]))});
+            cat_str("agreed-RHV sequences diverge: n", int{a}, "=",
+                    seq_str(seqs_[a]), " n", int{b}, "=",
+                    seq_str(seqs_[b]))});
       }
     }
   }
@@ -172,7 +181,7 @@ void ViewConsistencyMonitor::finish(const EndState& end,
     std::string text = "[";
     for (std::size_t i = 0; i < settledseq[node].size(); ++i) {
       if (i != 0) text += " ";
-      text += sim::cat_str(settledseq[node][i].view);
+      text += cat_str(settledseq[node][i].view);
     }
     return text + "]";
   };
@@ -194,17 +203,17 @@ void ViewConsistencyMonitor::finish(const EndState& end,
       if (!prefix) {
         out.push_back(Violation{
             std::string{name()}, end.end,
-            sim::cat_str("view sequences diverge: n", int{a}, "=",
-                         seq_str(a), " n", int{b}, "=", seq_str(b))});
+            cat_str("view sequences diverge: n", int{a}, "=",
+                    seq_str(a), " n", int{b}, "=", seq_str(b))});
         continue;
       }
       for (std::size_t i = shorter.size(); i < longer.size(); ++i) {
         if (longer[i].when <= settled) {
           out.push_back(Violation{
               std::string{name()}, longer[i].when,
-              sim::cat_str("view ", longer[i].view, " installed at only one "
-                           "of n", int{a}, "=", seq_str(a), " n", int{b},
-                           "=", seq_str(b), " well before the end")});
+              cat_str("view ", longer[i].view, " installed at only one "
+                      "of n", int{a}, "=", seq_str(a), " n", int{b},
+                      "=", seq_str(b), " well before the end")});
           break;
         }
       }
@@ -223,8 +232,8 @@ void ViewConsistencyMonitor::finish(const EndState& end,
     } else if (end.final_view[m] != ref) {
       out.push_back(Violation{
           std::string{name()}, end.end,
-          sim::cat_str("final views differ: n", int{ref_node}, "=", ref,
-                       " n", int{m}, "=", end.final_view[m])});
+          cat_str("final views differ: n", int{ref_node}, "=", ref,
+                  " n", int{m}, "=", end.final_view[m])});
     }
   }
 
@@ -236,9 +245,9 @@ void ViewConsistencyMonitor::finish(const EndState& end,
       if (end.final_view[m].contains(c)) {
         out.push_back(Violation{
             std::string{name()}, end.end,
-            sim::cat_str("n", int{m}, " still has node ", int{c},
-                         " (crashed at ", end.crash_time[c],
-                         ") in its final view ", end.final_view[m])});
+            cat_str("n", int{m}, " still has node ", int{c},
+                    " (crashed at ", end.crash_time[c],
+                    ") in its final view ", end.final_view[m])});
       }
     }
   }
@@ -271,8 +280,8 @@ void FailSilenceMonitor::on_tx(const can::TxRecord& rec) {
     if (crashed_.contains(co) && rec.start > crash_time_[co]) {
       pending_.push_back(Violation{
           std::string{name()}, rec.start,
-          sim::cat_str("frame id=", rec.frame.id, " co-transmitted by node ",
-                       int{co}, " after its crash at ", crash_time_[co])});
+          cat_str("frame id=", rec.frame.id, " co-transmitted by node ",
+                  int{co}, " after its crash at ", crash_time_[co])});
     }
   }
 }
@@ -329,9 +338,9 @@ void DetectionLatencyMonitor::finish(const EndState& end,
     if (d.when > ref + bound_) {
       out.push_back(Violation{
           std::string{name()}, d.when,
-          sim::cat_str("n", int{d.at}, " detected crash of node ",
-                       int{d.failed}, " only at ", d.when, " (crash ",
-                       end.crash_time[d.failed], ", bound ", bound_, ")")});
+          cat_str("n", int{d.at}, " detected crash of node ",
+                  int{d.failed}, " only at ", d.when, " (crash ",
+                  end.crash_time[d.failed], ", bound ", bound_, ")")});
     }
   }
 }

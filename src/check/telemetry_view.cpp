@@ -6,12 +6,11 @@
 #include <stdexcept>
 
 #include "check/frontier.hpp"
-#include "check/json_reader.hpp"
 
 namespace canely::check {
 namespace {
 
-using jsonin::Value;
+using json::Value;
 constexpr const char* kWhat = "telemetry JSONL";
 
 }  // namespace
@@ -23,50 +22,48 @@ std::uint64_t TelemetrySnapshot::units_done() const {
 }
 
 TelemetrySnapshot parse_telemetry_line(const std::string& line) {
-  const Value root = jsonin::parse(line, kWhat);
-  if (root.kind != Value::Kind::kObject) {
+  const Value root = json::parse(line, kWhat);
+  if (root.kind() != Value::Kind::kObject) {
     throw std::runtime_error("telemetry JSONL: line is not an object");
   }
-  if (jsonin::require(root, "schema", Value::Kind::kString, kWhat).s !=
-      "canely-telemetry-1") {
+  if (json::get_string(root, "schema", kWhat) != "canely-telemetry-1") {
     throw std::runtime_error("telemetry JSONL: unknown schema");
   }
   TelemetrySnapshot snap;
-  snap.seq = static_cast<std::uint64_t>(jsonin::get_int(root, "seq", kWhat));
-  snap.t_ms =
-      static_cast<std::uint64_t>(jsonin::get_int(root, "t_ms", kWhat));
-  snap.label = jsonin::require(root, "label", Value::Kind::kString, kWhat).s;
+  snap.seq = static_cast<std::uint64_t>(json::get_int(root, "seq", kWhat));
+  snap.t_ms = static_cast<std::uint64_t>(json::get_int(root, "t_ms", kWhat));
+  snap.label = json::get_string(root, "label", kWhat);
   snap.shard =
-      static_cast<std::size_t>(jsonin::get_int(root, "shard", kWhat));
+      static_cast<std::size_t>(json::get_int(root, "shard", kWhat));
   snap.shards =
-      static_cast<std::size_t>(jsonin::get_int(root, "shards", kWhat));
+      static_cast<std::size_t>(json::get_int(root, "shards", kWhat));
   snap.total_units = static_cast<std::uint64_t>(
-      jsonin::get_int(root, "total_units", kWhat));
+      json::get_int(root, "total_units", kWhat));
   if (const Value* frontier = root.find("frontier");
-      frontier != nullptr && frontier->kind == Value::Kind::kString) {
-    snap.frontier = frontier->s;
+      frontier != nullptr && frontier->kind() == Value::Kind::kString) {
+    snap.frontier = frontier->as_string();
   }
 
   const Value& counters =
-      jsonin::require(root, "counters", Value::Kind::kObject, kWhat);
+      json::require(root, "counters", Value::Kind::kObject, kWhat);
   for (std::size_t c = 0; c < obs::kTelemetryCounters; ++c) {
-    snap.counters[c] = static_cast<std::uint64_t>(jsonin::get_int(
+    snap.counters[c] = static_cast<std::uint64_t>(json::get_int(
         counters, obs::to_string(static_cast<obs::TelemetryCounter>(c)),
         kWhat));
   }
   const Value& stages =
-      jsonin::require(root, "stages", Value::Kind::kObject, kWhat);
+      json::require(root, "stages", Value::Kind::kObject, kWhat);
   for (std::size_t s = 0; s < obs::kTelemetryStages; ++s) {
-    const Value& stage = jsonin::require(
+    const Value& stage = json::require(
         stages, obs::to_string(static_cast<obs::TelemetryStage>(s)),
         Value::Kind::kObject, kWhat);
     snap.stage_count[s] =
-        static_cast<std::uint64_t>(jsonin::get_int(stage, "count", kWhat));
+        static_cast<std::uint64_t>(json::get_int(stage, "count", kWhat));
     snap.stage_sum_us[s] =
-        static_cast<std::uint64_t>(jsonin::get_int(stage, "sum_us", kWhat));
+        static_cast<std::uint64_t>(json::get_int(stage, "sum_us", kWhat));
   }
   snap.dropped_lines = static_cast<std::uint64_t>(
-      jsonin::get_int(root, "dropped_lines", kWhat));
+      json::get_int(root, "dropped_lines", kWhat));
   return snap;
 }
 
@@ -161,41 +158,38 @@ StatusSummary summarize(const std::vector<ShardStatus>& shards) {
 
 namespace {
 
-campaign::Json shard_json(const ShardStatus& sh) {
+/// Counters and sizes are unsigned; every value here fits int64.
+json::Value count(std::uint64_t v) {
+  return json::Value::integer(static_cast<std::int64_t>(v));
+}
+
+json::Value shard_json(const ShardStatus& sh) {
   const TelemetrySnapshot& last = sh.last;
-  campaign::Json j = campaign::Json::object();
-  j.set("file", campaign::Json::string(sh.path));
-  j.set("label", campaign::Json::string(last.label));
-  j.set("shard",
-        campaign::Json::integer(static_cast<std::int64_t>(last.shard)));
-  j.set("shards",
-        campaign::Json::integer(static_cast<std::int64_t>(last.shards)));
-  j.set("seq", campaign::Json::integer(static_cast<std::int64_t>(last.seq)));
-  j.set("t_ms",
-        campaign::Json::integer(static_cast<std::int64_t>(last.t_ms)));
-  j.set("done", campaign::Json::integer(
-                    static_cast<std::int64_t>(last.units_done())));
-  j.set("total_units", campaign::Json::integer(
-                           static_cast<std::int64_t>(last.total_units)));
-  j.set("rate", campaign::Json::number(sh.rate()));
-  campaign::Json counters = campaign::Json::object();
+  json::Value counters = json::Value::object();
   for (std::size_t c = 0; c < obs::kTelemetryCounters; ++c) {
     counters.set(obs::to_string(static_cast<obs::TelemetryCounter>(c)),
-                 campaign::Json::integer(
-                     static_cast<std::int64_t>(last.counters[c])));
+                 count(last.counters[c]));
   }
-  j.set("counters", std::move(counters));
-  j.set("dropped_lines", campaign::Json::integer(static_cast<std::int64_t>(
-                             last.dropped_lines)));
+  json::Value j = json::Value::object(
+      {{"file", json::Value::string(sh.path)},
+       {"label", json::Value::string(last.label)},
+       {"shard", count(last.shard)},
+       {"shards", count(last.shards)},
+       {"seq", count(last.seq)},
+       {"t_ms", count(last.t_ms)},
+       {"done", count(last.units_done())},
+       {"total_units", count(last.total_units)},
+       {"rate", json::Value::number(sh.rate())},
+       {"counters", std::move(counters)},
+       {"dropped_lines", count(last.dropped_lines)}});
   if (!last.frontier.empty()) {
-    campaign::Json f = campaign::Json::object();
-    f.set("file", campaign::Json::string(last.frontier));
-    f.set("loaded", campaign::Json::boolean(sh.frontier_loaded));
+    json::Value f = json::Value::object(
+        {{"file", json::Value::string(last.frontier)},
+         {"loaded", json::Value::boolean(sh.frontier_loaded)}});
     if (sh.frontier_loaded) {
-      f.set("records", campaign::Json::integer(static_cast<std::int64_t>(
-                           sh.frontier_records)));
-      f.set("complete", campaign::Json::boolean(sh.frontier_complete));
-      f.set("partial", campaign::Json::boolean(sh.frontier_partial));
+      f.set("records", count(sh.frontier_records));
+      f.set("complete", json::Value::boolean(sh.frontier_complete));
+      f.set("partial", json::Value::boolean(sh.frontier_partial));
     }
     j.set("frontier", std::move(f));
   }
@@ -223,34 +217,24 @@ std::string eta_text(double eta_sec) {
 
 }  // namespace
 
-campaign::Json status_json(const std::vector<ShardStatus>& shards) {
-  campaign::Json root = campaign::Json::object();
-  root.set("schema", campaign::Json::string("canely-top-1"));
-  campaign::Json arr = campaign::Json::array();
+json::Value status_json(const std::vector<ShardStatus>& shards) {
+  json::Value arr = json::Value::array();
   for (const ShardStatus& sh : shards) arr.push(shard_json(sh));
-  root.set("shards", std::move(arr));
-
   const StatusSummary sum = summarize(shards);
-  campaign::Json total = campaign::Json::object();
-  total.set("done",
-            campaign::Json::integer(static_cast<std::int64_t>(sum.done)));
-  total.set("total",
-            campaign::Json::integer(static_cast<std::int64_t>(sum.total)));
-  total.set("rate", campaign::Json::number(sum.rate));
-  total.set("dedup_pct", campaign::Json::number(sum.dedup_pct));
-  total.set("cache_pct", campaign::Json::number(sum.cache_pct));
-  total.set("eta_sec", campaign::Json::number(sum.eta_sec));
-  total.set("runs",
-            campaign::Json::integer(static_cast<std::int64_t>(sum.runs)));
-  total.set("violations", campaign::Json::integer(
-                              static_cast<std::int64_t>(sum.violations)));
-  total.set("dropped_lines", campaign::Json::integer(static_cast<std::int64_t>(
-                                 sum.dropped_lines)));
-  total.set("shards_complete",
-            campaign::Json::integer(
-                static_cast<std::int64_t>(sum.shards_complete)));
-  root.set("total", std::move(total));
-  return root;
+  json::Value total = json::Value::object(
+      {{"done", count(sum.done)},
+       {"total", count(sum.total)},
+       {"rate", json::Value::number(sum.rate)},
+       {"dedup_pct", json::Value::number(sum.dedup_pct)},
+       {"cache_pct", json::Value::number(sum.cache_pct)},
+       {"eta_sec", json::Value::number(sum.eta_sec)},
+       {"runs", count(sum.runs)},
+       {"violations", count(sum.violations)},
+       {"dropped_lines", count(sum.dropped_lines)},
+       {"shards_complete", count(sum.shards_complete)}});
+  return json::Value::object({{"schema", json::Value::string("canely-top-1")},
+                              {"shards", std::move(arr)},
+                              {"total", std::move(total)}});
 }
 
 std::string render_status_text(const std::vector<ShardStatus>& shards) {

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "campaign/json.hpp"
+#include "json/json.hpp"
 #include "obs/telemetry.hpp"
 
 namespace canely::check {
@@ -90,7 +90,7 @@ struct StatusSummary {
 [[nodiscard]] StatusSummary summarize(const std::vector<ShardStatus>& shards);
 
 /// Deterministic machine-readable status (canely_top --once --json).
-[[nodiscard]] campaign::Json status_json(
+[[nodiscard]] json::Value status_json(
     const std::vector<ShardStatus>& shards);
 
 /// Human-readable status block, one line per shard plus a total line.

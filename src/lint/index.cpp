@@ -4,8 +4,9 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
-#include "lint/json_mini.hpp"
+#include "json/json.hpp"
 #include "lint/lint.hpp"
 
 namespace canely::lint {
@@ -722,49 +723,6 @@ class Extractor {
   std::vector<FnSpan> spans_;
 };
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void emit_str(std::string& out, std::string_view key, std::string_view v) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  append_escaped(out, v);
-  out += '"';
-}
-
-void emit_facts(std::string& out, std::string_view key,
-                const std::vector<FactRef>& facts) {
-  out += '"';
-  out += key;
-  out += "\":[";
-  for (std::size_t i = 0; i < facts.size(); ++i) {
-    if (i) out += ',';
-    out += "{\"line\":" + std::to_string(facts[i].line) + ",";
-    emit_str(out, "rule", facts[i].rule);
-    out += ',';
-    emit_str(out, "what", facts[i].what);
-    out += '}';
-  }
-  out += ']';
-}
-
 }  // namespace
 
 std::uint64_t fnv64(std::string_view s) {
@@ -820,166 +778,183 @@ FileIndex build_index(std::string_view path, std::string_view content) {
   return fi;
 }
 
+namespace {
+
+using json::Value;
+
+Value str(std::string s) { return Value::string(std::move(s)); }
+Value num(std::int64_t v) { return Value::integer(v); }
+Value flag(bool b) { return Value::boolean(b); }
+
+template <typename T, typename Fn>
+Value array_of(const std::vector<T>& items, Fn to_json) {
+  Value arr = Value::array();
+  for (const T& item : items) arr.push(to_json(item));
+  return arr;
+}
+
+Value finding_json(const Finding& f) {
+  return Value::object({{"line", num(f.line)},
+                        {"rule", str(f.rule)},
+                        {"message", str(f.message)}});
+}
+
+Value suppression_json(const SuppressionIndex& s) {
+  return Value::object(
+      {{"line", num(s.line)}, {"rules", array_of(s.rules, str)}});
+}
+
+Value fact_json(const FactRef& f) {
+  return Value::object(
+      {{"line", num(f.line)}, {"rule", str(f.rule)}, {"what", str(f.what)}});
+}
+
+Value call_json(const CallSite& cs) {
+  return Value::object({{"name", str(cs.name)},
+                        {"line", num(cs.line)},
+                        {"member", flag(cs.member)},
+                        {"brace", flag(cs.brace)}});
+}
+
+Value function_json(const FunctionIndex& fn) {
+  return Value::object({{"name", str(fn.name)},
+                        {"line", num(fn.line)},
+                        {"member", flag(fn.member)},
+                        {"hot", flag(fn.hot)},
+                        {"nondet_ok", str(fn.nondet_ok)},
+                        {"hot_facts", array_of(fn.hot_facts, fact_json)},
+                        {"nondet_facts", array_of(fn.nondet_facts, fact_json)},
+                        {"calls", array_of(fn.calls, call_json)}});
+}
+
+Value alias_json(const AliasIndex& a) {
+  return Value::object({{"name", str(a.name)}, {"target", str(a.target)}});
+}
+
+Value constant_json(const ConstantIndex& c) {
+  return Value::object({{"name", str(c.name)}, {"value", num(c.value)}});
+}
+
+Value member_json(const MemberIndex& m) {
+  return Value::object({{"name", str(m.name)},
+                        {"type", str(m.type)},
+                        {"count", str(m.count)},
+                        {"line", num(m.line)},
+                        {"bitfield", flag(m.bitfield)},
+                        {"opaque", flag(m.opaque)}});
+}
+
+Value struct_json(const StructIndex& st) {
+  return Value::object({{"name", str(st.name)},
+                        {"line", num(st.line)},
+                        {"members", array_of(st.members, member_json)}});
+}
+
+std::vector<FactRef> facts_from(const Value& fn, std::string_view key,
+                                const std::string& what) {
+  std::vector<FactRef> facts;
+  for (const Value& f :
+       json::require(fn, key, Value::Kind::kArray, what).items()) {
+    facts.push_back({static_cast<int>(json::get_int(f, "line", what)),
+                     json::get_string(f, "rule", what),
+                     json::get_string(f, "what", what)});
+  }
+  return facts;
+}
+
+}  // namespace
+
 std::string index_to_json(const FileIndex& fi) {
-  std::string out = "{\"schema\":\"canely-lint-index-1\",";
-  emit_str(out, "path", fi.path);
   char hex[24];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(fi.content_hash));
-  out += ',';
-  emit_str(out, "hash", hex);
-  out += ",\"raw\":[";
-  for (std::size_t i = 0; i < fi.raw.size(); ++i) {
-    if (i) out += ',';
-    const Finding& f = fi.raw[i];
-    out += "{\"line\":" + std::to_string(f.line) + ",";
-    emit_str(out, "rule", f.rule);
-    out += ',';
-    emit_str(out, "message", f.message);
-    out += '}';
-  }
-  out += "],\"suppressions\":[";
-  for (std::size_t i = 0; i < fi.suppressions.size(); ++i) {
-    if (i) out += ',';
-    out += "{\"line\":" + std::to_string(fi.suppressions[i].line) +
-           ",\"rules\":[";
-    for (std::size_t j = 0; j < fi.suppressions[i].rules.size(); ++j) {
-      if (j) out += ',';
-      out += '"';
-      append_escaped(out, fi.suppressions[i].rules[j]);
-      out += '"';
-    }
-    out += "]}";
-  }
-  out += "],\"functions\":[";
-  for (std::size_t i = 0; i < fi.functions.size(); ++i) {
-    if (i) out += ',';
-    const FunctionIndex& fn = fi.functions[i];
-    out += '{';
-    emit_str(out, "name", fn.name);
-    out += ",\"line\":" + std::to_string(fn.line) +
-           ",\"member\":" + (fn.member ? "true" : "false") +
-           ",\"hot\":" + (fn.hot ? "true" : "false") + ",";
-    emit_str(out, "nondet_ok", fn.nondet_ok);
-    out += ',';
-    emit_facts(out, "hot_facts", fn.hot_facts);
-    out += ',';
-    emit_facts(out, "nondet_facts", fn.nondet_facts);
-    out += ",\"calls\":[";
-    for (std::size_t j = 0; j < fn.calls.size(); ++j) {
-      if (j) out += ',';
-      const CallSite& cs = fn.calls[j];
-      out += '{';
-      emit_str(out, "name", cs.name);
-      out += ",\"line\":" + std::to_string(cs.line) +
-             ",\"member\":" + (cs.member ? "true" : "false") +
-             ",\"brace\":" + (cs.brace ? "true" : "false") + "}";
-    }
-    out += "]}";
-  }
-  out += "],\"aliases\":[";
-  for (std::size_t i = 0; i < fi.aliases.size(); ++i) {
-    if (i) out += ',';
-    out += '{';
-    emit_str(out, "name", fi.aliases[i].name);
-    out += ',';
-    emit_str(out, "target", fi.aliases[i].target);
-    out += '}';
-  }
-  out += "],\"constants\":[";
-  for (std::size_t i = 0; i < fi.constants.size(); ++i) {
-    if (i) out += ',';
-    out += '{';
-    emit_str(out, "name", fi.constants[i].name);
-    out += ",\"value\":" + std::to_string(fi.constants[i].value) + "}";
-  }
-  out += "],\"structs\":[";
-  for (std::size_t i = 0; i < fi.structs.size(); ++i) {
-    if (i) out += ',';
-    const StructIndex& st = fi.structs[i];
-    out += '{';
-    emit_str(out, "name", st.name);
-    out += ",\"line\":" + std::to_string(st.line) + ",\"members\":[";
-    for (std::size_t j = 0; j < st.members.size(); ++j) {
-      if (j) out += ',';
-      const MemberIndex& m = st.members[j];
-      out += '{';
-      emit_str(out, "name", m.name);
-      out += ',';
-      emit_str(out, "type", m.type);
-      out += ',';
-      emit_str(out, "count", m.count);
-      out += ",\"line\":" + std::to_string(m.line) +
-             ",\"bitfield\":" + (m.bitfield ? "true" : "false") +
-             ",\"opaque\":" + (m.opaque ? "true" : "false") + "}";
-    }
-    out += "]}";
-  }
-  out += "]}\n";
-  return out;
+  const Value doc = Value::object(
+      {{"schema", str("canely-lint-index-1")},
+       {"path", str(fi.path)},
+       {"hash", str(hex)},
+       {"raw", array_of(fi.raw, finding_json)},
+       {"suppressions", array_of(fi.suppressions, suppression_json)},
+       {"functions", array_of(fi.functions, function_json)},
+       {"aliases", array_of(fi.aliases, alias_json)},
+       {"constants", array_of(fi.constants, constant_json)},
+       {"structs", array_of(fi.structs, struct_json)}});
+  return doc.dump() + "\n";
 }
 
 bool index_from_json(std::string_view text, FileIndex& out,
                      std::string& error) {
-  json::Value doc;
-  if (!json::parse(text, doc, error)) return false;
-  if (doc["schema"].string != "canely-lint-index-1") {
-    error = "not a canely-lint-index-1 document";
+  using json::get_bool;
+  using json::get_int;
+  using json::get_string;
+  const std::string what = "lint index";
+  const auto list = [&what](const Value& obj, std::string_view key)
+      -> const std::vector<Value>& {
+    return json::require(obj, key, Value::Kind::kArray, what).items();
+  };
+  const auto line = [&what](const Value& obj) {
+    return static_cast<int>(get_int(obj, "line", what));
+  };
+  try {
+    const Value doc = json::parse(text, what);
+    if (get_string(doc, "schema", what) != "canely-lint-index-1") {
+      error = "not a canely-lint-index-1 document";
+      return false;
+    }
+    FileIndex fi;
+    fi.path = get_string(doc, "path", what);
+    fi.content_hash =
+        std::strtoull(get_string(doc, "hash", what).c_str(), nullptr, 16);
+    for (const Value& v : list(doc, "raw")) {
+      fi.raw.push_back(Finding{fi.path, line(v), get_string(v, "rule", what),
+                               get_string(v, "message", what), {}});
+    }
+    for (const Value& v : list(doc, "suppressions")) {
+      SuppressionIndex s{line(v), {}};
+      for (const Value& r : list(v, "rules")) {
+        s.rules.push_back(r.as_string());
+      }
+      fi.suppressions.push_back(std::move(s));
+    }
+    for (const Value& v : list(doc, "functions")) {
+      FunctionIndex fn;
+      fn.name = get_string(v, "name", what);
+      fn.line = line(v);
+      fn.member = get_bool(v, "member", what);
+      fn.hot = get_bool(v, "hot", what);
+      fn.nondet_ok = get_string(v, "nondet_ok", what);
+      fn.hot_facts = facts_from(v, "hot_facts", what);
+      fn.nondet_facts = facts_from(v, "nondet_facts", what);
+      for (const Value& c : list(v, "calls")) {
+        fn.calls.push_back({get_string(c, "name", what), line(c),
+                            get_bool(c, "member", what),
+                            get_bool(c, "brace", what)});
+      }
+      fi.functions.push_back(std::move(fn));
+    }
+    for (const Value& v : list(doc, "aliases")) {
+      fi.aliases.push_back(
+          {get_string(v, "name", what), get_string(v, "target", what)});
+    }
+    for (const Value& v : list(doc, "constants")) {
+      fi.constants.push_back(
+          {get_string(v, "name", what), get_int(v, "value", what)});
+    }
+    for (const Value& v : list(doc, "structs")) {
+      StructIndex st;
+      st.name = get_string(v, "name", what);
+      st.line = line(v);
+      for (const Value& m : list(v, "members")) {
+        st.members.push_back(
+            {get_string(m, "name", what), get_string(m, "type", what),
+             get_string(m, "count", what), line(m),
+             get_bool(m, "bitfield", what), get_bool(m, "opaque", what)});
+      }
+      fi.structs.push_back(std::move(st));
+    }
+    out = std::move(fi);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
     return false;
-  }
-  out = FileIndex{};
-  out.path = doc["path"].string;
-  out.content_hash =
-      std::strtoull(doc["hash"].string.c_str(), nullptr, 16);
-  for (const json::Value& v : doc["raw"].items()) {
-    out.raw.push_back(Finding{out.path, static_cast<int>(v["line"].as_int()),
-                              v["rule"].string, v["message"].string,
-                              {}});
-  }
-  for (const json::Value& v : doc["suppressions"].items()) {
-    SuppressionIndex s{static_cast<int>(v["line"].as_int()), {}};
-    for (const json::Value& r : v["rules"].items()) s.rules.push_back(r.string);
-    out.suppressions.push_back(std::move(s));
-  }
-  for (const json::Value& v : doc["functions"].items()) {
-    FunctionIndex fn;
-    fn.name = v["name"].string;
-    fn.line = static_cast<int>(v["line"].as_int());
-    fn.member = v["member"].boolean;
-    fn.hot = v["hot"].boolean;
-    fn.nondet_ok = v["nondet_ok"].string;
-    for (const json::Value& f : v["hot_facts"].items()) {
-      fn.hot_facts.push_back({static_cast<int>(f["line"].as_int()),
-                              f["rule"].string, f["what"].string});
-    }
-    for (const json::Value& f : v["nondet_facts"].items()) {
-      fn.nondet_facts.push_back({static_cast<int>(f["line"].as_int()),
-                                 f["rule"].string, f["what"].string});
-    }
-    for (const json::Value& c : v["calls"].items()) {
-      fn.calls.push_back({c["name"].string,
-                          static_cast<int>(c["line"].as_int()),
-                          c["member"].boolean, c["brace"].boolean});
-    }
-    out.functions.push_back(std::move(fn));
-  }
-  for (const json::Value& v : doc["aliases"].items()) {
-    out.aliases.push_back({v["name"].string, v["target"].string});
-  }
-  for (const json::Value& v : doc["constants"].items()) {
-    out.constants.push_back({v["name"].string, v["value"].as_int()});
-  }
-  for (const json::Value& v : doc["structs"].items()) {
-    StructIndex st;
-    st.name = v["name"].string;
-    st.line = static_cast<int>(v["line"].as_int());
-    for (const json::Value& m : v["members"].items()) {
-      st.members.push_back({m["name"].string, m["type"].string,
-                            m["count"].string,
-                            static_cast<int>(m["line"].as_int()),
-                            m["bitfield"].boolean, m["opaque"].boolean});
-    }
-    out.structs.push_back(std::move(st));
   }
   return true;
 }

@@ -8,19 +8,20 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
+#include "json/json.hpp"
 #include "lint/callgraph.hpp"
-#include "lint/json_mini.hpp"
 
 namespace canely::lint {
 namespace {
 
-constexpr std::array<std::string_view, 14> kDeterminismDirs = {
+constexpr std::array<std::string_view, 15> kDeterminismDirs = {
     "src/sim/",      "src/can/",       "src/canely/",   "src/broadcast/",
     "src/campaign/", "src/check/",     "src/scenario/", "src/baselines/",
     "src/clocksync/", "src/media/",    "src/workload/", "src/analysis/",
-    "src/obs/",      "src/net/"};
+    "src/obs/",      "src/net/",       "src/json/"};
 
 constexpr std::array<std::string_view, 4> kWireFiles = {
     "src/can/types.hpp", "src/can/frame.hpp", "src/canely/mid.hpp",
@@ -55,25 +56,6 @@ constexpr std::array<std::string_view, 4> kWireFiles = {
   return hit;
 }
 
-void json_escape(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 [[nodiscard]] std::string baseline_key(const Finding& f) {
   std::string k = f.file;
   k += '\1';
@@ -90,29 +72,26 @@ void json_escape(std::string& out, std::string_view s) {
 [[nodiscard]] bool load_baseline(const std::string& path,
                                  std::set<std::string>& out,
                                  std::string& error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    error = "cannot read baseline " + path;
+  const std::string what = "baseline " + path;
+  try {
+    const json::Value doc = json::parse(json::read_file(path, what), what);
+    const std::string& schema = json::get_string(doc, "schema", what);
+    if (schema != "canely-lint-1" && schema != "canely-lint-2") {
+      error = what + " is not a canely-lint report";
+      return false;
+    }
+    for (const json::Value& v :
+         json::require(doc, "findings", json::Value::Kind::kArray, what)
+             .items()) {
+      Finding f;
+      f.file = json::get_string(v, "file", what);
+      f.rule = json::get_string(v, "rule", what);
+      f.message = json::get_string(v, "message", what);
+      out.insert(baseline_key(f));
+    }
+  } catch (const std::runtime_error& e) {
+    error = e.what();
     return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  json::Value doc;
-  if (!json::parse(buf.str(), doc, error)) {
-    error = "baseline " + path + ": " + error;
-    return false;
-  }
-  const std::string& schema = doc["schema"].string;
-  if (schema != "canely-lint-1" && schema != "canely-lint-2") {
-    error = "baseline " + path + " is not a canely-lint report";
-    return false;
-  }
-  for (const json::Value& v : doc["findings"].items()) {
-    Finding f;
-    f.file = v["file"].string;
-    f.rule = v["rule"].string;
-    f.message = v["message"].string;
-    out.insert(baseline_key(f));
   }
   return true;
 }
@@ -406,43 +385,37 @@ std::string to_text(const RunResult& r) {
 }
 
 std::string to_json(const RunResult& r) {
-  std::string out = r.whole_program
-                        ? "{\"schema\":\"canely-lint-2\",\"files\":" +
-                              std::to_string(r.files) + ",\"functions\":" +
-                              std::to_string(r.functions) + ",\"edges\":" +
-                              std::to_string(r.edges) + ",\"suppressed\":" +
-                              std::to_string(r.suppressed) +
-                              ",\"baselined\":" +
-                              std::to_string(r.baselined) + ",\"findings\":["
-                        : "{\"schema\":\"canely-lint-1\",\"files\":" +
-                              std::to_string(r.files) + ",\"suppressed\":" +
-                              std::to_string(r.suppressed) +
-                              ",\"findings\":[";
-  bool first = true;
+  using json::Value;
+  const auto count = [](std::size_t n) {
+    return Value::integer(static_cast<std::int64_t>(n));
+  };
+  Value findings = Value::array();
   for (const Finding& f : r.findings) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"file\":\"";
-    json_escape(out, f.file);
-    out += "\",\"line\":" + std::to_string(f.line) + ",\"rule\":\"";
-    json_escape(out, f.rule);
-    out += "\",\"message\":\"";
-    json_escape(out, f.message);
-    out += '"';
+    Value o = Value::object({{"file", Value::string(f.file)},
+                             {"line", Value::integer(f.line)},
+                             {"rule", Value::string(f.rule)},
+                             {"message", Value::string(f.message)}});
     if (!f.chain.empty()) {
-      out += ",\"chain\":[";
-      for (std::size_t i = 0; i < f.chain.size(); ++i) {
-        if (i) out += ',';
-        out += '"';
-        json_escape(out, f.chain[i]);
-        out += '"';
-      }
-      out += ']';
+      Value chain = Value::array();
+      for (const std::string& fn : f.chain) chain.push(Value::string(fn));
+      o.set("chain", std::move(chain));
     }
-    out += '}';
+    findings.push(std::move(o));
   }
-  out += "]}\n";
-  return out;
+  const Value root =
+      r.whole_program
+          ? Value::object({{"schema", Value::string("canely-lint-2")},
+                           {"files", count(r.files)},
+                           {"functions", count(r.functions)},
+                           {"edges", count(r.edges)},
+                           {"suppressed", count(r.suppressed)},
+                           {"baselined", count(r.baselined)},
+                           {"findings", std::move(findings)}})
+          : Value::object({{"schema", Value::string("canely-lint-1")},
+                           {"files", count(r.files)},
+                           {"suppressed", count(r.suppressed)},
+                           {"findings", std::move(findings)}});
+  return root.dump() + "\n";
 }
 
 }  // namespace canely::lint

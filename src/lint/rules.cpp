@@ -28,9 +28,6 @@ constexpr RuleInfo kRules[] = {
      "std::function named in a hot-path region (allocating, indirect)"},
     {"no-hot-unreserved-push", "hot-path",
      "push_back on a region-local vector with no prior reserve()"},
-    {"no-hot-eager-trace", "hot-path",
-     "trace message built eagerly (cat_str/to_string argument to emit) in "
-     "a hot-path region; use the lazy lambda overload"},
     {"hot-path-transitive", "hot-path",
      "function reachable from a hot-path region allocates or names "
      "std::function / unreserved push_back (whole-program)"},
@@ -319,30 +316,6 @@ void check_hot_paths(const Ctx& c,
                          "region");
           }
           break;
-        }
-      } else if (t == "emit" && c.at(p + 1) == "(" && p >= 1 &&
-                 (c.at(p - 1) == "." || c.at(p - 1) == "->")) {
-        // Eagerly built trace message: cat_str/to_string at the top level
-        // of an emit(...) argument list runs even when tracing is off.
-        // The lazy form wraps the builder in a lambda — brace depth > 0 —
-        // and is exempt.
-        const std::size_t close = c.match(p + 1);
-        int braces = 0;
-        for (std::size_t q = p + 2; q < close && q < c.code.size(); ++q) {
-          const std::string_view arg = c.at(q);
-          if (arg == "{") {
-            ++braces;
-          } else if (arg == "}") {
-            --braces;
-          } else if (braces == 0 && c.kind(q) == TokKind::kIdent &&
-                     (arg == "cat_str" || arg == "to_string") &&
-                     c.at(q + 1) == "(") {
-            c.report(q, "no-hot-eager-trace",
-                     "'" + std::string{arg} +
-                         "' builds the trace message eagerly in a hot-path "
-                         "region; wrap it in the lazy lambda overload of "
-                         "emit()");
-          }
         }
       }
     }

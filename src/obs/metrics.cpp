@@ -18,56 +18,56 @@ const Histogram* MetricsRegistry::find_histogram(
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-campaign::Json MetricsRegistry::snapshot_json(bool per_node) const {
-  campaign::Json counters = campaign::Json::object();
+json::Value MetricsRegistry::snapshot_json(bool per_node) const {
+  json::Value counters = json::Value::object();
   for (const auto& [name, c] : counters_) {
     if (!per_node) {
-      counters.set(name, campaign::Json::integer(
+      counters.set(name, json::Value::integer(
                              static_cast<std::int64_t>(c.total())));
       continue;
     }
-    campaign::Json entry = campaign::Json::object();
-    entry.set("total", campaign::Json::integer(
+    json::Value entry = json::Value::object();
+    entry.set("total", json::Value::integer(
                            static_cast<std::int64_t>(c.total())));
-    campaign::Json nodes = campaign::Json::object();
+    json::Value nodes = json::Value::object();
     for (std::size_t n = 0; n < can::kMaxNodes; ++n) {
       const std::uint64_t v = c.node(static_cast<std::uint8_t>(n));
       if (v != 0) {
         nodes.set("node" + std::to_string(n),
-                  campaign::Json::integer(static_cast<std::int64_t>(v)));
+                  json::Value::integer(static_cast<std::int64_t>(v)));
       }
     }
     entry.set("per_node", std::move(nodes));
     counters.set(name, std::move(entry));
   }
 
-  campaign::Json gauges = campaign::Json::object();
+  json::Value gauges = json::Value::object();
   for (const auto& [name, g] : gauges_) {
-    gauges.set(name, campaign::Json::number(g.value()));
+    gauges.set(name, json::Value::number(g.value()));
   }
 
-  campaign::Json histograms = campaign::Json::object();
+  json::Value histograms = json::Value::object();
   for (const auto& [name, h] : histograms_) {
-    campaign::Json entry = campaign::Json::object();
-    entry.set("count", campaign::Json::integer(
+    json::Value entry = json::Value::object();
+    entry.set("count", json::Value::integer(
                            static_cast<std::int64_t>(h.count())));
-    entry.set("sum", campaign::Json::integer(h.sum()));
-    entry.set("min", campaign::Json::integer(h.count() ? h.min() : 0));
-    entry.set("max", campaign::Json::integer(h.count() ? h.max() : 0));
-    campaign::Json le = campaign::Json::array();
+    entry.set("sum", json::Value::integer(h.sum()));
+    entry.set("min", json::Value::integer(h.count() ? h.min() : 0));
+    entry.set("max", json::Value::integer(h.count() ? h.max() : 0));
+    json::Value le = json::Value::array();
     for (const std::int64_t b : h.bounds()) {
-      le.push(campaign::Json::integer(b));
+      le.push(json::Value::integer(b));
     }
     entry.set("le", std::move(le));
-    campaign::Json buckets = campaign::Json::array();
+    json::Value buckets = json::Value::array();
     for (const std::uint64_t b : h.buckets()) {
-      buckets.push(campaign::Json::integer(static_cast<std::int64_t>(b)));
+      buckets.push(json::Value::integer(static_cast<std::int64_t>(b)));
     }
     entry.set("buckets", std::move(buckets));
     histograms.set(name, std::move(entry));
   }
 
-  campaign::Json root = campaign::Json::object();
+  json::Value root = json::Value::object();
   root.set("counters", std::move(counters));
   root.set("gauges", std::move(gauges));
   root.set("histograms", std::move(histograms));

@@ -6,7 +6,7 @@
 // returns a stable reference — node-based map, never invalidated); the
 // update path is a plain integer add on a cached pointer, so instrumented
 // hot paths pay no lookup, no lock, no allocation.  Snapshots serialize in
-// name order through campaign::Json, making them a pure function of the
+// name order through json::Value, making them a pure function of the
 // run — byte-identical across campaign `--threads` like every other
 // artifact in this repo.
 
@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "campaign/json.hpp"
 #include "can/types.hpp"
+#include "json/json.hpp"
 
 namespace canely::obs {
 
@@ -116,7 +116,7 @@ class MetricsRegistry {
   /// Deterministic snapshot: {"counters":{...},"gauges":{...},
   /// "histograms":{...}}, names in lexicographic order.  `per_node` adds a
   /// {"node<k>": v} breakdown for counters with per-node attribution.
-  [[nodiscard]] campaign::Json snapshot_json(bool per_node = false) const;
+  [[nodiscard]] json::Value snapshot_json(bool per_node = false) const;
 
  private:
   std::map<std::string, Counter> counters_;

@@ -5,8 +5,8 @@
 #include <set>
 #include <tuple>
 
-#include "campaign/json.hpp"
 #include "can/bus.hpp"
+#include "json/json.hpp"
 
 namespace canely::obs {
 namespace {
@@ -299,51 +299,51 @@ TraceValidation validate_trace_events(const std::vector<TraceEvent>& events) {
 std::string render_trace_json(const std::vector<TraceEvent>& events,
                               const MetricsRegistry* metrics,
                               const EventRing& ring) {
-  const campaign::Json snapshot =
+  const json::Value snapshot =
       metrics != nullptr ? metrics->snapshot_json(/*per_node=*/true)
-                         : campaign::Json{};
+                         : json::Value{};
   return render_trace_json(
       events, metrics != nullptr ? &snapshot : nullptr,
       RingStats{ring.capacity(), ring.size(), ring.dropped()});
 }
 
 std::string render_trace_json(const std::vector<TraceEvent>& events,
-                              const campaign::Json* metrics_json,
+                              const json::Value* metrics_json,
                               const RingStats& stats) {
-  campaign::Json trace_events = campaign::Json::array();
+  json::Value trace_events = json::Value::array();
   for (const TraceEvent& t : events) {
-    campaign::Json o = campaign::Json::object();
-    o.set("name", campaign::Json::string(t.name));
-    if (!t.cat.empty()) o.set("cat", campaign::Json::string(t.cat));
-    o.set("ph", campaign::Json::string(std::string{t.ph}));
-    o.set("ts", campaign::Json::number(t.ts_us));
-    if (t.ph == 'X') o.set("dur", campaign::Json::number(t.dur_us));
-    o.set("pid", campaign::Json::integer(t.pid));
-    o.set("tid", campaign::Json::integer(t.tid));
+    json::Value o = json::Value::object();
+    o.set("name", json::Value::string(t.name));
+    if (!t.cat.empty()) o.set("cat", json::Value::string(t.cat));
+    o.set("ph", json::Value::string(std::string{t.ph}));
+    o.set("ts", json::Value::number(t.ts_us));
+    if (t.ph == 'X') o.set("dur", json::Value::number(t.dur_us));
+    o.set("pid", json::Value::integer(t.pid));
+    o.set("tid", json::Value::integer(t.tid));
     if (t.has_id) {
-      o.set("id", campaign::Json::integer(static_cast<std::int64_t>(t.id)));
+      o.set("id", json::Value::integer(static_cast<std::int64_t>(t.id)));
     }
     if (!t.args.empty()) {
-      campaign::Json args = campaign::Json::object();
+      json::Value args = json::Value::object();
       for (const auto& [k, v] : t.args) {
-        args.set(k, campaign::Json::string(v));
+        args.set(k, json::Value::string(v));
       }
       o.set("args", std::move(args));
     }
     trace_events.push(std::move(o));
   }
 
-  campaign::Json other = campaign::Json::object();
-  other.set("schema", campaign::Json::string("canely-trace-1"));
-  other.set("ring_capacity", campaign::Json::integer(
+  json::Value other = json::Value::object();
+  other.set("schema", json::Value::string("canely-trace-1"));
+  other.set("ring_capacity", json::Value::integer(
                                  static_cast<std::int64_t>(stats.capacity)));
-  other.set("events_recorded", campaign::Json::integer(
+  other.set("events_recorded", json::Value::integer(
                                    static_cast<std::int64_t>(stats.recorded)));
-  other.set("dropped_events", campaign::Json::integer(
+  other.set("dropped_events", json::Value::integer(
                                   static_cast<std::int64_t>(stats.dropped)));
 
-  campaign::Json root = campaign::Json::object();
-  root.set("displayTimeUnit", campaign::Json::string("ms"));
+  json::Value root = json::Value::object();
+  root.set("displayTimeUnit", json::Value::string("ms"));
   root.set("otherData", std::move(other));
   if (metrics_json != nullptr) {
     root.set("metrics", *metrics_json);

@@ -18,7 +18,7 @@
 // parsing JSON (the repo only writes JSON): `build_trace_events` produces
 // the typed list — balanced phase pairs, per-track monotone timestamps —
 // and `render_trace_json` serializes it deterministically through
-// campaign::Json (same bytes for the same run, any thread count).
+// json::Value (same bytes for the same run, any thread count).
 
 #include <cstdint>
 #include <string>
@@ -86,6 +86,6 @@ struct RingStats {
 /// the overload above.
 [[nodiscard]] std::string render_trace_json(
     const std::vector<TraceEvent>& events,
-    const campaign::Json* metrics_json, const RingStats& stats);
+    const json::Value* metrics_json, const RingStats& stats);
 
 }  // namespace canely::obs

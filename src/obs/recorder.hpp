@@ -3,7 +3,7 @@
 //
 // One Recorder per simulated run, owned by whoever builds the system
 // (scenario runner, checker harness, bench cell) and handed down as a
-// non-owning pointer like the tracer and the fault injector.  A null
+// non-owning pointer like the fault injector.  A null
 // recorder means observability is off and instrumentation costs one
 // branch.  The emit path is a POD store into a preallocated ring — no
 // std::function, no allocation (canely-lint's hot-path rules apply to the

@@ -3,7 +3,7 @@
 #include <chrono>
 #include <utility>
 
-#include "campaign/json.hpp"
+#include "json/json.hpp"
 
 namespace canely::obs {
 namespace {
@@ -103,35 +103,35 @@ std::uint64_t Telemetry::counter(TelemetryCounter c) const {
 }
 
 std::string Telemetry::snapshot_line() {
-  campaign::Json root = campaign::Json::object();
-  root.set("schema", campaign::Json::string("canely-telemetry-1"));
+  json::Value root = json::Value::object();
+  root.set("schema", json::Value::string("canely-telemetry-1"));
   root.set("seq",
-           campaign::Json::integer(static_cast<std::int64_t>(seq_ + 1)));
+           json::Value::integer(static_cast<std::int64_t>(seq_ + 1)));
   // canely-lint: nondeterministic-ok(snapshot timestamps wall progress through the injected WallClock seam)
   const std::uint64_t now = static_cast<std::uint64_t>(clock_->now().count());
-  root.set("t_ms", campaign::Json::integer(static_cast<std::int64_t>(
+  root.set("t_ms", json::Value::integer(static_cast<std::int64_t>(
                        (now - start_ns_) / 1'000'000)));
-  root.set("label", campaign::Json::string(cfg_.label));
-  root.set("shard", campaign::Json::integer(
+  root.set("label", json::Value::string(cfg_.label));
+  root.set("shard", json::Value::integer(
                         static_cast<std::int64_t>(cfg_.shard_index)));
-  root.set("shards", campaign::Json::integer(
+  root.set("shards", json::Value::integer(
                          static_cast<std::int64_t>(cfg_.shard_count)));
   root.set("total_units",
-           campaign::Json::integer(static_cast<std::int64_t>(
+           json::Value::integer(static_cast<std::int64_t>(
                total_units_.load(std::memory_order_relaxed))));
   if (!cfg_.frontier_path.empty()) {
-    root.set("frontier", campaign::Json::string(cfg_.frontier_path));
+    root.set("frontier", json::Value::string(cfg_.frontier_path));
   }
 
-  campaign::Json counters = campaign::Json::object();
+  json::Value counters = json::Value::object();
   for (std::size_t c = 0; c < kTelemetryCounters; ++c) {
     counters.set(to_string(static_cast<TelemetryCounter>(c)),
-                 campaign::Json::integer(static_cast<std::int64_t>(
+                 json::Value::integer(static_cast<std::int64_t>(
                      counter(static_cast<TelemetryCounter>(c)))));
   }
   root.set("counters", std::move(counters));
 
-  campaign::Json stages = campaign::Json::object();
+  json::Value stages = json::Value::object();
   for (std::size_t s = 0; s < kTelemetryStages; ++s) {
     std::uint64_t count = 0, sum = 0;
     std::array<std::uint64_t, kStageBucketBoundsUs.size() + 1> buckets{};
@@ -142,25 +142,25 @@ std::string Telemetry::snapshot_line() {
         buckets[b] += sl.stage_buckets[s][b].load(std::memory_order_relaxed);
       }
     }
-    campaign::Json stage = campaign::Json::object();
+    json::Value stage = json::Value::object();
     stage.set("count",
-              campaign::Json::integer(static_cast<std::int64_t>(count)));
+              json::Value::integer(static_cast<std::int64_t>(count)));
     stage.set("sum_us",
-              campaign::Json::integer(static_cast<std::int64_t>(sum)));
-    campaign::Json le = campaign::Json::array();
+              json::Value::integer(static_cast<std::int64_t>(sum)));
+    json::Value le = json::Value::array();
     for (const std::uint64_t bound : kStageBucketBoundsUs) {
-      le.push(campaign::Json::integer(static_cast<std::int64_t>(bound)));
+      le.push(json::Value::integer(static_cast<std::int64_t>(bound)));
     }
     stage.set("le_us", std::move(le));
-    campaign::Json counts = campaign::Json::array();
+    json::Value counts = json::Value::array();
     for (const std::uint64_t b : buckets) {
-      counts.push(campaign::Json::integer(static_cast<std::int64_t>(b)));
+      counts.push(json::Value::integer(static_cast<std::int64_t>(b)));
     }
     stage.set("buckets", std::move(counts));
     stages.set(to_string(static_cast<TelemetryStage>(s)), std::move(stage));
   }
   root.set("stages", std::move(stages));
-  root.set("dropped_lines", campaign::Json::integer(
+  root.set("dropped_lines", json::Value::integer(
                                 static_cast<std::int64_t>(dropped_lines_)));
   return root.dump() + "\n";
 }

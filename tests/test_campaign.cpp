@@ -20,7 +20,6 @@ namespace canely::testing {
 namespace {
 
 using campaign::Grid;
-using campaign::Json;
 using campaign::Runner;
 using campaign::RunSpec;
 using sim::Time;
@@ -151,19 +150,19 @@ TEST(CampaignRunner, SimulationBackedRunsAreThreadCountInvariant) {
 /// Dump an Outcome exactly the way the benches build their trajectories.
 std::string dump_trajectory(const Grid& g,
                             const campaign::Outcome<double>& out) {
-  Json root = campaign::trajectory_header("test_campaign", g);
-  Json cells = Json::array();
+  json::Value root = campaign::trajectory_header("test_campaign", g);
+  json::Value cells = json::Value::array();
   for (std::size_t cell = 0; cell < g.cells(); ++cell) {
     std::vector<double> samples;
     for (const double* r : out.cell(g, cell)) samples.push_back(*r);
     const campaign::Summary s = campaign::summarize(samples);
-    Json jc = Json::object();
+    json::Value jc = json::Value::object();
     for (const auto& [name, value] : g.cell_params(cell)) {
-      jc.set(name, Json::number(value));
+      jc.set(name, json::Value::number(value));
     }
-    jc.set("mean", Json::number(s.mean));
-    jc.set("p90", Json::number(s.p90));
-    jc.set("stddev", Json::number(s.stddev));
+    jc.set("mean", json::Value::number(s.mean));
+    jc.set("p90", json::Value::number(s.p90));
+    jc.set("stddev", json::Value::number(s.stddev));
     cells.push(std::move(jc));
   }
   root.set("cells", std::move(cells));
@@ -314,12 +313,13 @@ TEST(CampaignAggregate, SummarizeAndPercentilesAreExact) {
 }
 
 TEST(CampaignJson, NumbersFormatShortestRoundTrip) {
-  EXPECT_EQ(campaign::format_number(0.005), "0.005");
-  EXPECT_EQ(campaign::format_number(30), "30");
-  EXPECT_EQ(campaign::format_number(-1.5), "-1.5");
-  Json o = Json::object();
-  o.set("b", Json::boolean(true));
-  o.set("a", Json::integer(-3));  // insertion order preserved, no sorting
+  EXPECT_EQ(json::format_number(0.005), "0.005");
+  EXPECT_EQ(json::format_number(30), "30");
+  EXPECT_EQ(json::format_number(-1.5), "-1.5");
+  json::Value o = json::Value::object();
+  o.set("b", json::Value::boolean(true));
+  // Insertion order preserved, no sorting.
+  o.set("a", json::Value::integer(-3));
   EXPECT_EQ(o.dump(), "{\"b\":true,\"a\":-3}");
 }
 

@@ -1,8 +1,8 @@
 // Observability subsystem (DESIGN.md §11, docs/OBSERVABILITY.md): the
-// bounded event ring, the bounded sim::TraceBuffer, Perfetto export
-// structure, end-to-end metric capture on a crash-detection scenario
-// (fd.detection_latency_us must respect the §6.3 bound), and snapshot
-// byte-identity across campaign thread counts.
+// bounded event ring, Perfetto export structure, end-to-end metric
+// capture on a crash-detection scenario (fd.detection_latency_us must
+// respect the §6.3 bound), and snapshot byte-identity across campaign
+// thread counts.
 
 #include <cstdint>
 #include <string>
@@ -19,7 +19,6 @@
 #include "obs/recorder.hpp"
 #include "obs/ring.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/trace.hpp"
 
 namespace canely {
 namespace {
@@ -68,27 +67,6 @@ TEST(EventRing, CapacityZeroRefusesAndCounts) {
   ring.push(raw_event(1, 2));
   EXPECT_EQ(ring.size(), 0U);
   EXPECT_EQ(ring.dropped(), 2U);
-}
-
-TEST(TraceBuffer, OverwritesOldestAndCountsDrops) {
-  sim::TraceBuffer buf{4};
-  const auto sink = buf.sink();
-  for (int i = 0; i < 7; ++i) {
-    std::string text = "r";
-    text += std::to_string(i);
-    sink(sim::TraceRecord{sim::Time::us(i), sim::TraceLevel::kInfo, "t",
-                          std::move(text)});
-  }
-  EXPECT_EQ(buf.capacity(), 4U);
-  EXPECT_EQ(buf.dropped(), 3U);
-  const auto& records = buf.records();
-  ASSERT_EQ(records.size(), 4U);
-  EXPECT_EQ(records.front().text, "r3");
-  EXPECT_EQ(records.back().text, "r6");
-  // The linearized view stays consistent across further pushes.
-  sink(sim::TraceRecord{sim::Time::us(7), sim::TraceLevel::kInfo, "t", "r7"});
-  EXPECT_EQ(buf.records().front().text, "r4");
-  EXPECT_EQ(buf.dropped(), 4U);
 }
 
 TEST(Perfetto, PairsSpansAndDemotesUnmatchedHalves) {

@@ -346,7 +346,7 @@ TEST(TelemetryView, ShardStatusRatesAndSummaryFromFixtureFile) {
   EXPECT_NEAR(sum.dedup_pct, 100.0 * 80 / 300, 1e-9);
 
   // Machine-readable status: the canely_top --once --json schema.
-  const campaign::Json status = check::status_json({sh});
+  const json::Value status = check::status_json({sh});
   const std::string dumped = status.dump();
   EXPECT_NE(dumped.find("\"schema\":\"canely-top-1\""), std::string::npos);
   EXPECT_NE(dumped.find("\"done\":300"), std::string::npos);
