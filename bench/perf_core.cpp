@@ -9,7 +9,10 @@
 //   * bus_load      — frames/sec through a near-saturated 8/32/64-node
 //     bus (arbitration + serialization + delivery fan-out);
 //   * membership_cycle — full CANELy membership formations/sec (8 nodes
-//     join, converge to a common view), the end-to-end macro number;
+//     join, converge to a common view), the end-to-end macro number.
+//     The cell also carries the formation's deterministic work counts —
+//     frames, engine queue pushes and re-keys, and both per frame —
+//     which the CI gate compares exactly;
 //   * net_medium    — delivered messages/sec through the lossy
 //     point-to-point medium at 64 nodes (delay + loss + dup draws, the
 //     per-copy cost floor under every net baseline);
@@ -186,8 +189,36 @@ double bus_load_rate(std::size_t n, std::uint64_t target_frames,
   return static_cast<double>(bus.stats().ok) / secs;
 }
 
-/// Full membership formation: n nodes join and converge.  Formations/sec.
-double membership_cycle_rate(std::size_t n, std::uint64_t formations) {
+/// Deterministic work of one membership formation.
+struct FormationWork {
+  std::uint64_t frames{0};  ///< frames completed on the bus
+  std::uint64_t pushes{0};  ///< engine queue pushes (schedules + re-keys)
+  std::uint64_t rekeys{0};  ///< postponed engine entries re-keyed
+
+  friend bool operator==(const FormationWork&,
+                         const FormationWork&) = default;
+
+  [[nodiscard]] double per_frame(std::uint64_t v) const {
+    return static_cast<double>(v) / static_cast<double>(frames);
+  }
+
+  [[nodiscard]] json::Value to_json() const {
+    json::Value w = json::Value::object();
+    w.set("frames", json::Value::integer(static_cast<std::int64_t>(frames)));
+    w.set("engine_pushes",
+          json::Value::integer(static_cast<std::int64_t>(pushes)));
+    w.set("engine_rekeys",
+          json::Value::integer(static_cast<std::int64_t>(rekeys)));
+    w.set("pushes_per_frame", json::Value::number(per_frame(pushes)));
+    w.set("rekeys_per_frame", json::Value::number(per_frame(rekeys)));
+    return w;
+  }
+};
+
+/// Full membership formation: n nodes join and converge.  Formations/sec;
+/// `work` receives the (identical) work counts of every formation.
+double membership_cycle_rate(std::size_t n, std::uint64_t formations,
+                             FormationWork& work) {
   const auto t0 = Clock::now();
   for (std::uint64_t k = 0; k < formations; ++k) {
     sim::Engine engine;
@@ -207,6 +238,13 @@ double membership_cycle_rate(std::size_t n, std::uint64_t formations) {
       std::cerr << "perf_core: membership view did not form\n";
       return 0.0;
     }
+    const FormationWork w{bus.stats().ok, engine.pushes(), engine.rekeys()};
+    if (k > 0 && w != work) {
+      std::cerr << "perf_core: membership work counts differ between "
+                   "formations\n";
+      return 0.0;
+    }
+    work = w;
   }
   return static_cast<double>(formations) / seconds_since(t0);
 }
@@ -404,6 +442,7 @@ int main(int argc, char** argv) {
   std::vector<double> churn, fifo, members, net_med, swim_st, trace_off,
       trace_on, lint_tree;
   std::vector<std::vector<double>> bus_rates;
+  FormationWork members_work;
   const std::size_t bus_sizes[] = {8, 32, 64};
   bus_rates.resize(std::size(bus_sizes));
   for (std::size_t r = 0; r < reps; ++r) {
@@ -412,7 +451,7 @@ int main(int argc, char** argv) {
     for (std::size_t bi = 0; bi < std::size(bus_sizes); ++bi) {
       bus_rates[bi].push_back(bus_load_rate(bus_sizes[bi], bus_frames));
     }
-    members.push_back(membership_cycle_rate(8, formations));
+    members.push_back(membership_cycle_rate(8, formations, members_work));
     lint_tree.push_back(lint_full_tree_rate());
     net_med.push_back(net_medium_rate(64, net_deliveries, opts.seed + r));
     swim_st.push_back(swim_steady_rate(128, swim_deliveries, opts.seed + r));
@@ -453,11 +492,19 @@ int main(int argc, char** argv) {
     cells.push(cell("bus_load", std::move(params), "frames_per_sec", s));
   }
   report("membership_cycle", members_s, "formations/s");
+  std::cout << "  membership_cycle work: " << members_work.frames
+            << " frames, " << std::setprecision(2)
+            << members_work.per_frame(members_work.pushes)
+            << " engine pushes and "
+            << members_work.per_frame(members_work.rekeys)
+            << " re-keys per frame\n";
   {
     json::Value params = json::Value::object();
     params.set("nodes", json::Value::integer(8));
-    cells.push(cell("membership_cycle", std::move(params),
-                    "formations_per_sec", members_s));
+    json::Value c = cell("membership_cycle", std::move(params),
+                         "formations_per_sec", members_s);
+    c.set("work", members_work.to_json());
+    cells.push(std::move(c));
   }
   const auto lint_s = campaign::summarize(lint_tree);
   report("lint_full_tree", lint_s, "files/s");

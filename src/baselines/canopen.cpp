@@ -134,7 +134,7 @@ HeartbeatConsumer::HeartbeatConsumer(can::Bus& bus, can::NodeId id,
 
 void HeartbeatConsumer::watch(can::NodeId producer, sim::Time consumer_time) {
   consumer_time_[producer] = consumer_time;
-  timers_.cancel_alarm(watch_[producer]);
+  if (timers_.restart_alarm(watch_[producer], consumer_time)) return;
   watch_[producer] = timers_.start_alarm(consumer_time, [this, producer] {
     watch_[producer] = sim::kNullTimer;
     if (on_failure_) on_failure_(producer);  // heartbeat event (local!)

@@ -45,10 +45,18 @@ void OsekNmNode::forward_ring() {
 }
 
 void OsekNmNode::arm_tmax() {
-  timers_.cancel_alarm(tmax_timer_);
+  if (timers_.restart_alarm(tmax_timer_, params_.t_max)) return;
   tmax_timer_ = timers_.start_alarm(params_.t_max, [this] {
     tmax_timer_ = sim::kNullTimer;
     on_tmax();
+  });
+}
+
+void OsekNmNode::arm_ttyp() {
+  if (timers_.restart_alarm(ttyp_timer_, params_.t_typ)) return;
+  ttyp_timer_ = timers_.start_alarm(params_.t_typ, [this] {
+    ttyp_timer_ = sim::kNullTimer;
+    forward_ring();
   });
 }
 
@@ -68,11 +76,7 @@ void OsekNmNode::on_tmax() {
     if (successor_of(dead) == id() || config_.size() == 1) {
       // We follow the dead node in ring order (or we are alone):
       // resume the ring.
-      timers_.cancel_alarm(ttyp_timer_);
-      ttyp_timer_ = timers_.start_alarm(params_.t_typ, [this] {
-        ttyp_timer_ = sim::kNullTimer;
-        forward_ring();
-      });
+      arm_ttyp();
     }
     arm_tmax();
   } else {
@@ -108,23 +112,14 @@ void OsekNmNode::on_rx(const can::Frame& frame, bool own) {
       // All nodes track whose turn it is, to detect ring stalls.
       awaiting_ = true;
       awaited_ = dest;
-      if (dest == id() && !own) {
-        timers_.cancel_alarm(ttyp_timer_);
-        ttyp_timer_ = timers_.start_alarm(params_.t_typ, [this] {
-          ttyp_timer_ = sim::kNullTimer;
-          forward_ring();
-        });
-      }
+      if (dest == id() && !own) arm_ttyp();
       break;
     case OpCode::kAlive:
     case OpCode::kLimpHome:
       // If no ring is circulating, the lowest-address node starts one.
       if (!awaiting_ && ttyp_timer_ == sim::kNullTimer &&
           id() <= *config_.begin()) {
-        ttyp_timer_ = timers_.start_alarm(params_.t_typ, [this] {
-          ttyp_timer_ = sim::kNullTimer;
-          forward_ring();
-        });
+        arm_ttyp();
       }
       break;
   }

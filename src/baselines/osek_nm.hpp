@@ -76,6 +76,7 @@ class OsekNmNode final : public can::ControllerClient {
   void send(OpCode op, can::NodeId dest);
   void forward_ring();
   void arm_tmax();
+  void arm_ttyp();
   void on_tmax();
   [[nodiscard]] can::NodeId successor_of(can::NodeId node) const;
 

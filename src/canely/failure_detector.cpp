@@ -53,12 +53,12 @@ void FailureDetector::fd_can_req_stop(can::NodeId r) {
 }
 
 void FailureDetector::fd_alarm_start(can::NodeId r) {
-  timers_.cancel_alarm(tid_[r]);  // restart semantics (f04)
   const sim::Time duration =
       (r == driver_.node())
           ? params_.heartbeat_period                              // a02
           : params_.heartbeat_period + params_.tx_delay_bound +   // a04
                 params_.fd_skew_quantum * driver_.node();         // osc. skew
+  if (timers_.restart_alarm(tid_[r], duration)) return;  // f04
   tid_[r] = timers_.start_alarm(duration, [this, r] {
     tid_[r] = sim::kNullTimer;
     on_expiry(r);

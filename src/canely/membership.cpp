@@ -110,7 +110,7 @@ void MembershipService::on_rha_nty(RhaEvent e, can::NodeSet rhv) {
 }
 
 void MembershipService::restart_cycle_timer(sim::Time duration) {
-  timers_.cancel_alarm(tid_);
+  if (timers_.restart_alarm(tid_, duration)) return;
   tid_ = timers_.start_alarm(duration, [this] {
     tid_ = sim::kNullTimer;
     cycle(/*timer_expired=*/true);  // s17, alarm branch

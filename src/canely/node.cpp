@@ -58,10 +58,10 @@ void Node::send(std::uint8_t stream, std::span<const std::uint8_t> data) {
 void Node::start_periodic(std::uint8_t stream, sim::Time period,
                           std::vector<std::uint8_t> payload) {
   PeriodicStream& s = periodic_[stream];
-  timers_.cancel_alarm(s.timer);
   s.active = true;
   s.period = period;
   s.payload = std::move(payload);
+  if (timers_.restart_alarm(s.timer, period)) return;
   s.timer = timers_.start_alarm(period, [this, stream] {
     periodic_tick(stream);
   });

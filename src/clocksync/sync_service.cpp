@@ -40,10 +40,10 @@ void ClockSyncService::stop() {
 }
 
 void ClockSyncService::arm_watchdog() {
-  timers_.cancel_alarm(watchdog_);
   const sim::Time deadline =
       params_.period + params_.takeover_delta * static_cast<std::int64_t>(
                                                     rank_ + 1);
+  if (timers_.restart_alarm(watchdog_, deadline)) return;
   watchdog_ = timers_.start_alarm(deadline, [this] {
     // No round observed: every better-ranked synchronizer is dead.
     acting_master_ = true;

@@ -12,8 +12,11 @@ bool Engine::dispatch_next() {
   while (const QEntry* pe = queue_.peek()) {
     const QEntry e = *pe;
     queue_.pop();
-    if (!entry_live(e)) continue;  // cancelled; stale entry
     Slot& slot = slot_ref(e.slot());
+    if (slot.cur_seq != e.seq_lo()) {
+      if (postponed(slot, e)) rekey(slot, e.slot());
+      continue;  // otherwise cancelled; stale entry
+    }
     slot.cur_seq = 0;
     --live_;
     now_ = e.t;
@@ -31,15 +34,22 @@ std::size_t Engine::run_until(Time t) {
   std::size_t n = 0;
   // One flat loop instead of peek + dispatch_next(): each entry is
   // popped and checked exactly once.  Stale (cancelled) entries are
-  // dropped no matter their timestamp; a live entry past `t` ends the
-  // run (it stays queued — only peek() was read).  `stopped_` can only
-  // change inside a callback, so it is tested after dispatch rather
-  // than on every queue probe.
+  // dropped no matter their timestamp; a live or postponed entry past
+  // `t` ends the run (it stays queued — only peek() was read), so the
+  // re-key count does not depend on how a run is split into horizons.
+  // `stopped_` can only change inside a callback, so it is tested after
+  // dispatch rather than on every queue probe.
   while (const QEntry* pe = queue_.peek()) {
     const QEntry e = *pe;
     Slot& slot = slot_ref(e.slot());  // one lookup serves liveness + dispatch
     if (slot.cur_seq != e.seq_lo()) {
-      queue_.pop();  // cancelled; stale entry
+      if (!postponed(slot, e)) {
+        queue_.pop();  // cancelled; stale entry
+        continue;
+      }
+      if (e.t > t) break;
+      queue_.pop();
+      rekey(slot, e.slot());
       continue;
     }
     if (e.t > t) break;

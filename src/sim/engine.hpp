@@ -19,6 +19,15 @@
 // implementation skipped seqs missing from its live-set — dispatch
 // order is unchanged).  With the small-buffer `sim::Callback` payload,
 // steady-state schedule->dispatch performs no heap allocation.
+//
+// A `Ticket` is a dispatch position reserved ahead of scheduling:
+// ticket() consumes one sequence number exactly as schedule_at() does,
+// and schedule_at(Ticket) / postpone() place an event there later.
+// This is what lets sim::TimerService keep one engine event per service
+// while every alarm still dispatches at the (time, seq) it would have
+// had as an event of its own.  postpone() is lazy: the queued entry
+// stays where it is and is re-keyed to the new position when it
+// surfaces, which is neither a dispatch nor a change to pending().
 
 #include <algorithm>
 #include <cstdint>
@@ -42,6 +51,18 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
+/// A reserved dispatch position: instant `t` and the sequence number
+/// that orders it among same-instant events.  Issued by Engine::ticket()
+/// from the counter schedule_at() uses, so an event placed at a ticket
+/// dispatches exactly where one scheduled at ticket time would have.
+struct Ticket {
+  Time t;
+  std::uint64_t seq{0};
+  friend constexpr bool operator<(const Ticket& a, const Ticket& b) {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  }
+};
+
 /// Single-threaded discrete-event simulation engine.
 class Engine {
  public:
@@ -54,6 +75,13 @@ class Engine {
   /// Current simulated time.
   [[nodiscard]] Time now() const { return now_; }
 
+  /// Reserve the dispatch position of an event at absolute time `t`
+  /// (>= now()).  Consumes one sequence number, as schedule_at() does.
+  [[nodiscard]] Ticket ticket(Time t) {
+    if (t < now_) throw std::logic_error("Engine::ticket: time in the past");
+    return Ticket{t, next_seq_++};
+  }
+
   /// Schedule `cb` to run at absolute time `t` (>= now()).
   /// Defined inline: schedule/cancel are the simulator's hottest calls
   /// and must fold into their call sites.  The callable is constructed
@@ -61,29 +89,20 @@ class Engine {
   template <typename F, typename = std::enable_if_t<
                             std::is_constructible_v<Callback, F&&>>>
   EventId schedule_at(Time t, F&& cb) {
-    if (t < now_) {
-      throw std::logic_error("Engine::schedule_at: time in the past");
+    reject_empty(cb);  // before ticket(): a rejected call consumes no seq
+    return place(ticket(t), std::forward<F>(cb));
+  }
+
+  /// Schedule `cb` at a position reserved earlier by ticket().  Each
+  /// ticket places at most one event; its instant must not have passed.
+  template <typename F, typename = std::enable_if_t<
+                            std::is_constructible_v<Callback, F&&>>>
+  EventId schedule_at(Ticket tk, F&& cb) {
+    if (tk.t < now_) {
+      throw std::logic_error("Engine::schedule_at: ticket in the past");
     }
-    const std::uint64_t seq = next_seq_++;
-    const auto seq_lo = static_cast<std::uint32_t>(seq);
-    const std::uint32_t s = alloc_slot();
-    Slot& slot = slot_ref(s);
-    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
-      slot.cb = std::forward<F>(cb);
-      // Only a moved-in Callback can be empty; emplace of a raw
-      // callable always arms the slot, so skip the check there.
-      if (!slot.cb) {
-        free_slot(s);
-        --next_seq_;
-        throw std::logic_error("Engine::schedule_at: empty callback");
-      }
-    } else {
-      slot.cb.emplace(std::forward<F>(cb));
-    }
-    slot.cur_seq = seq_lo;
-    queue_.push(QEntry{t, static_cast<std::uint64_t>(seq_lo) << 32 | s});
-    ++live_;
-    return EventId{encode(s, seq_lo)};
+    reject_empty(cb);
+    return place(tk, std::forward<F>(cb));
   }
 
   /// Schedule `cb` to run `delay` after now().
@@ -99,18 +118,34 @@ class Engine {
   /// both reports success and makes dispatch skip the stale queue entry
   /// when it surfaces (lazy deletion).
   bool cancel(EventId id) {
-    const std::uint64_t hi = id.raw >> 32;
-    if (hi == 0 || hi > slot_count_) return false;
-    const auto s = static_cast<std::uint32_t>(hi - 1);
+    const std::uint32_t s = armed_slot(id);
+    if (s == kNoSlot) return false;
     Slot& slot = slot_ref(s);
-    const auto lo = static_cast<std::uint32_t>(id.raw);
-    if (lo == 0 || slot.cur_seq != lo) return false;
     slot.cb.reset();  // release captured resources now, not at slot reuse
     slot.cur_seq = 0;
-    queue_.remove_staged(static_cast<std::uint64_t>(lo) << 32 | s);
+    queue_.remove_staged(static_cast<std::uint64_t>(slot.link) << 32 | s);
     free_slot(s);
     --live_;
     return true;
+  }
+
+  /// Move a pending event to the later position `to`, keeping its
+  /// callback.  Returns the event's new handle (the old one goes stale,
+  /// as after a dispatch), or an invalid id if `id` is not pending.  The
+  /// queued entry is not touched: when it surfaces it is re-keyed to
+  /// `to` (counted by rekeys(), not by dispatched()), so postponing is
+  /// O(1) however often it happens before then.
+  EventId postpone(EventId id, Ticket to) {
+    const std::uint32_t s = armed_slot(id);
+    if (s == kNoSlot) return EventId{};
+    Slot& slot = slot_ref(s);
+    const auto seq_lo = static_cast<std::uint32_t>(to.seq);
+    if (!before(slot.due, slot.cur_seq, to.t, seq_lo)) {
+      throw std::logic_error("Engine::postpone: position is not later");
+    }
+    slot.due = to.t;
+    slot.cur_seq = seq_lo;
+    return EventId{encode(s, seq_lo)};
   }
 
   /// Run all events with timestamp <= `t`; afterwards now() == max(t, now).
@@ -132,6 +167,14 @@ class Engine {
   /// Number of live (non-cancelled) events still queued.
   [[nodiscard]] std::size_t pending() const { return live_; }
 
+  /// Entries pushed into the event queue: one per scheduled event plus
+  /// one per re-key.
+  [[nodiscard]] std::uint64_t pushes() const { return pushes_; }
+
+  /// Postponed entries that surfaced and were re-keyed to their new
+  /// position without dispatching.
+  [[nodiscard]] std::uint64_t rekeys() const { return rekeys_; }
+
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFF'FFFF;
 
@@ -142,14 +185,20 @@ class Engine {
     return (static_cast<std::uint64_t>(slot) + 1) << 32 | gen;
   }
 
-  // 64 bytes — one cache line.  cur_seq doubles as the armed flag and
-  // the generation tag: 0 = free/disarmed (seq numbers start at 1),
-  // otherwise the low 32 bits of the owning event's sequence number.
+  // 80 bytes: the 64-byte Callback plus 16 bytes of bookkeeping.
+  // cur_seq doubles as the armed flag and the generation tag: 0 =
+  // free/disarmed (seq numbers start at 1), otherwise the low 32 bits of
+  // the sequence number the event dispatches at.  `link` is the next
+  // free slot while the slot is free; while it is armed it holds the
+  // seq of the slot's queue entry, which differs from cur_seq only
+  // after postpone() — that entry is then re-keyed to (due, cur_seq).
   struct Slot {
     Callback cb;
+    Time due{};
     std::uint32_t cur_seq{0};
-    std::uint32_t next_free{kNoSlot};
+    std::uint32_t link{kNoSlot};
   };
+  static_assert(sizeof(Slot) == 80, "event slot layout changed");
 
   // What the priority queue actually shuffles: 16 trivially copyable
   // bytes — no callback, so a sift level is one SSE move, and four
@@ -169,9 +218,12 @@ class Engine {
   // sequence number: wraparound-safe subtraction, exact as long as
   // same-instant events coexisting in the queue span fewer than 2^31
   // schedule calls — which a queue that fits in memory always satisfies.
+  static bool before(Time ta, std::uint32_t sa, Time tb, std::uint32_t sb) {
+    if (ta != tb) return ta < tb;
+    return static_cast<std::int32_t>(sa - sb) < 0;
+  }
   static bool before(const QEntry& a, const QEntry& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return static_cast<std::int32_t>(a.seq_lo() - b.seq_lo()) < 0;
+    return before(a.t, a.seq_lo(), b.t, b.seq_lo());
   }
 
   // Two-level priority queue: a small unordered staging array in front
@@ -227,11 +279,11 @@ class Engine {
       std::pop_heap(heap_.begin(), heap_.end(), after);
       heap_.pop_back();
     }
-    // Eagerly drop a cancelled event if it still sits in staging (the
-    // common case: surveillance timers are cancelled soon after being
-    // armed).  Keeps stale entries out of every later peek() scan; a
-    // miss means the entry overflowed to the heap and stays lazily
-    // deleted there.
+    // Eagerly drop a cancelled event if it still sits in staging.  A
+    // cancel usually follows its schedule closely (a timer service
+    // dropping its last alarm, a bus aborting a transmission), so this
+    // keeps stale entries out of every later peek() scan; a miss means
+    // the entry overflowed to the heap and stays lazily deleted there.
     bool remove_staged(std::uint64_t key) {
       for (std::size_t i = 0; i < stage_n_; ++i) {
         if (stage_[i].key == key) {
@@ -263,6 +315,57 @@ class Engine {
 
   bool dispatch_next();  // pops and runs one live event; false if none.
 
+  // Throws on an empty Callback; raw callables are never empty.
+  template <typename F>
+  static void reject_empty(const F& cb) {
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      if (!cb) throw std::logic_error("Engine::schedule_at: empty callback");
+    }
+  }
+
+  template <typename F>
+  EventId place(Ticket tk, F&& cb) {
+    const auto seq_lo = static_cast<std::uint32_t>(tk.seq);
+    const std::uint32_t s = alloc_slot();
+    Slot& slot = slot_ref(s);
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      slot.cb = std::forward<F>(cb);
+    } else {
+      slot.cb.emplace(std::forward<F>(cb));
+    }
+    slot.due = tk.t;
+    slot.cur_seq = seq_lo;
+    slot.link = seq_lo;
+    queue_.push(QEntry{tk.t, static_cast<std::uint64_t>(seq_lo) << 32 | s});
+    ++pushes_;
+    ++live_;
+    return EventId{encode(s, seq_lo)};
+  }
+
+  // The slot `id` names if its event is still pending, else kNoSlot.
+  [[nodiscard]] std::uint32_t armed_slot(EventId id) const {
+    const std::uint64_t hi = id.raw >> 32;
+    if (hi == 0 || hi > slot_count_) return kNoSlot;
+    const auto s = static_cast<std::uint32_t>(hi - 1);
+    const auto lo = static_cast<std::uint32_t>(id.raw);
+    if (lo == 0 || slot_ref(s).cur_seq != lo) return kNoSlot;
+    return s;
+  }
+
+  // A surfaced entry whose seq is not its slot's cur_seq is either stale
+  // (the event was cancelled or dispatched) or the entry of a postponed
+  // event, which is re-queued at its new position.
+  [[nodiscard]] static bool postponed(const Slot& slot, const QEntry& e) {
+    return slot.cur_seq != 0 && slot.link == e.seq_lo();
+  }
+  void rekey(Slot& slot, std::uint32_t s) {
+    slot.link = slot.cur_seq;
+    queue_.push(
+        QEntry{slot.due, static_cast<std::uint64_t>(slot.cur_seq) << 32 | s});
+    ++pushes_;
+    ++rekeys_;
+  }
+
   // Slots live in fixed-size chunks; growing appends a chunk and never
   // moves an existing Slot.  Stable addresses let dispatch invoke the
   // callback in place — a scheduling callback may grow the pool under
@@ -285,7 +388,7 @@ class Engine {
   std::uint32_t alloc_slot() {
     if (free_head_ != kNoSlot) {
       const std::uint32_t s = free_head_;
-      free_head_ = slot_ref(s).next_free;
+      free_head_ = slot_ref(s).link;
       return s;
     }
     if ((slot_count_ & (kChunkSize - 1)) == 0) {
@@ -296,11 +399,8 @@ class Engine {
     return slot_count_++;
   }
   void free_slot(std::uint32_t s) {
-    slot_ref(s).next_free = free_head_;
+    slot_ref(s).link = free_head_;
     free_head_ = s;
-  }
-  [[nodiscard]] bool entry_live(const QEntry& e) const {
-    return slot_ref(e.slot()).cur_seq == e.seq_lo();
   }
 
   EventQueue queue_;
@@ -312,6 +412,8 @@ class Engine {
   Time now_{Time::zero()};
   std::uint64_t next_seq_{1};
   std::uint64_t dispatched_{0};
+  std::uint64_t pushes_{0};
+  std::uint64_t rekeys_{0};
   bool stopped_{false};
 };
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing.hpp"
 
 namespace canely::testing {
@@ -90,6 +92,33 @@ TEST(Scale, FormationCostGrowsModestly) {
   }
   EXPECT_LT(frames_32, frames_8 * 16);  // far below quadratic scaling
   EXPECT_GT(frames_32, frames_8);
+}
+
+// Peak engine.pending() over 200 ms of steady state after formation,
+// sampled every 10 us.
+std::size_t steady_peak_pending(std::size_t n) {
+  Cluster c{n, scaled_params(n)};
+  c.join_all();
+  c.settle(Time::ms(800));
+  EXPECT_TRUE(c.views_agree(NodeSet::first_n(n)));
+  sim::Engine& e = c.engine();
+  const Time end = e.now() + Time::ms(200);
+  std::size_t peak = 0;
+  while (e.now() < end) {
+    e.run_until(e.now() + Time::us(10));
+    peak = std::max(peak, e.pending());
+  }
+  return peak;
+}
+
+TEST(Scale, SteadyStateQueueGrowsLinearlyInN) {
+  // Each node arms n surveillance alarms (one per member, itself
+  // included) plus its membership cycle timer.  With one engine event
+  // per alarm the peak was n(n+1) + 1 (73 at n=8, 1,057 at n=32); with
+  // one wake event per TimerService it is n + 1: the wakes plus the
+  // bus's one in-flight event.
+  EXPECT_EQ(steady_peak_pending(8), 9u);
+  EXPECT_EQ(steady_peak_pending(32), 33u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -250,6 +251,12 @@ struct ReferenceEngine {
     events.push_back(Ev{t, next_seq++, label, true});
     return label;
   }
+  // Takes a fresh sequence number, as Engine::ticket() does.
+  void postpone(int label, Time t) {
+    Ev& ev = events[static_cast<std::size_t>(label)];
+    ev.t = t;
+    ev.seq = next_seq++;
+  }
   bool cancel(int label) {
     if (label < 0 || static_cast<std::size_t>(label) >= events.size()) {
       return false;
@@ -360,6 +367,108 @@ TEST(Engine, PendingAccountingSurvivesMassCancellation) {
   e.run();
   EXPECT_EQ(fired, 1000);
   EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(Engine, TicketReservesTheSchedulePosition) {
+  Engine e;
+  std::vector<int> order;
+  const Ticket early = e.ticket(Time::us(5));  // seq 1
+  e.schedule_at(Time::us(5), [&order] { order.push_back(2); });  // seq 2
+  e.schedule_at(early, [&order] { order.push_back(1); });
+  e.run_until(Time::us(6));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_THROW((void)e.ticket(Time::us(4)), std::logic_error);
+  EXPECT_THROW(e.schedule_at(early, [] {}), std::logic_error);  // passed
+}
+
+TEST(Engine, PostponeRekeysWithoutDispatching) {
+  Engine e;
+  std::vector<char> order;
+  const EventId a = e.schedule_at(Time::us(1), [&order] { order.push_back('a'); });
+  e.schedule_at(Time::us(3), [&order] { order.push_back('b'); });
+  const EventId moved = e.postpone(a, e.ticket(Time::us(3)));  // after b
+  ASSERT_TRUE(moved.valid());
+  EXPECT_FALSE(e.cancel(a));  // the old handle went stale
+  EXPECT_EQ(e.pending(), 2u);
+  EXPECT_THROW(e.postpone(moved, e.ticket(Time::us(2))), std::logic_error);
+
+  e.run_until(Time::us(2));  // the old entry surfaces and is re-keyed
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(e.rekeys(), 1u);
+  EXPECT_EQ(e.dispatched(), 0u);
+  EXPECT_EQ(e.pending(), 2u);
+  e.run();
+  EXPECT_EQ(order, (std::vector<char>{'b', 'a'}));
+  EXPECT_EQ(e.dispatched(), 2u);
+  EXPECT_EQ(e.pushes(), 3u);  // two schedules and one re-key
+  EXPECT_FALSE(e.postpone(moved, e.ticket(Time::us(9))).valid());
+}
+
+TEST(Engine, CancelAfterPostponeDropsBothEntries) {
+  Engine e;
+  int fired = 0;
+  const EventId a = e.schedule_at(Time::us(1), [&fired] { ++fired; });
+  const EventId b = e.postpone(a, e.ticket(Time::us(5)));
+  EXPECT_TRUE(e.cancel(b));
+  EXPECT_EQ(e.pending(), 0u);
+  e.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(e.rekeys(), 0u);
+}
+
+TEST(Engine, PostponeChurnMatchesReferenceSemantics) {
+  // Randomized schedule/postpone/cancel/run rounds: a postponed event
+  // must dispatch exactly where the reference, which simply re-keys the
+  // event, puts it — including the FIFO tie-break at shared instants.
+  Engine e;
+  ReferenceEngine ref;
+  Rng rng{20261017};
+  std::vector<EventId> ids;
+  std::vector<Time> due;
+  std::vector<int> engine_order;
+  int label = 0;
+  for (int round = 0; round < 200; ++round) {
+    const auto burst = 1 + rng.below(12);
+    for (std::uint64_t i = 0; i < burst; ++i) {
+      const Time t =
+          e.now() + Time::ns(100 * static_cast<std::int64_t>(rng.below(40)));
+      const int my = label++;
+      ids.push_back(e.schedule_at(t, [&engine_order, my] {
+        engine_order.push_back(my);
+      }));
+      due.push_back(t);
+      ref.schedule(t, my);
+    }
+    const auto moves = rng.below(static_cast<std::uint64_t>(label));
+    for (std::uint64_t i = 0; i < moves; ++i) {
+      const auto idx = static_cast<std::size_t>(
+          rng.below(static_cast<std::uint64_t>(label)));
+      if (!ref.events[idx].live) continue;
+      const Time t =
+          due[idx] + Time::ns(100 * static_cast<std::int64_t>(rng.below(20)));
+      ids[idx] = e.postpone(ids[idx], e.ticket(t));
+      ASSERT_TRUE(ids[idx].valid());
+      due[idx] = t;
+      ref.postpone(static_cast<int>(idx), t);
+    }
+    const auto cancels = rng.below(static_cast<std::uint64_t>(label)) / 4;
+    for (std::uint64_t i = 0; i < cancels; ++i) {
+      const auto idx = static_cast<std::size_t>(
+          rng.below(static_cast<std::uint64_t>(label)));
+      ASSERT_EQ(e.cancel(ids[idx]), ref.cancel(static_cast<int>(idx)));
+    }
+    const Time horizon =
+        e.now() + Time::ns(100 * static_cast<std::int64_t>(rng.below(30)));
+    engine_order.clear();
+    e.run_until(horizon);
+    ASSERT_EQ(engine_order, ref.run_until(horizon)) << "round " << round;
+    ASSERT_EQ(e.pending(), ref.pending()) << "round " << round;
+  }
+  engine_order.clear();
+  e.run();
+  EXPECT_EQ(engine_order, ref.run_until(Time::max()));
+  EXPECT_GT(e.rekeys(), 0u);
+  EXPECT_EQ(e.pushes(), static_cast<std::uint64_t>(label) + e.rekeys());
 }
 
 }  // namespace

@@ -95,6 +95,8 @@ stage_perf() {
   # CANELY_PERF_TOLERANCE (default 30%) below the committed baseline.
   # Absolute numbers are machine-dependent; the tolerance absorbs normal
   # scheduling noise while catching order-of-magnitude regressions.
+  # Deterministic work counts (a cell's "work" object) are machine-
+  # independent and must match the baseline exactly.
   CANELY_PERF_TOLERANCE="${CANELY_PERF_TOLERANCE:-0.30}" \
     python3 - "$json" "$ROOT/BENCH_core.json" <<'EOF'
 import json, os, sys
@@ -103,7 +105,7 @@ def rates(path):
     with open(path) as f:
         doc = json.load(f)
     assert doc["bench"] == "perf_core", doc.get("bench")
-    cells = {}
+    cells, work = {}, {}
     for cell in doc["cells"]:
         p = cell["params"]
         key = p["scenario"]
@@ -118,9 +120,12 @@ def rates(path):
         # noise-contaminated estimate of the true speed (same estimator
         # the bench uses for the trace-overhead comparison).
         cells[key] = metric["max"]
-    return cells
+        if "work" in cell:
+            work[key] = cell["work"]
+    return cells, work
 
-fresh, baseline = rates(sys.argv[1]), rates(sys.argv[2])
+(fresh, fresh_work), (baseline, baseline_work) = \
+    rates(sys.argv[1]), rates(sys.argv[2])
 tolerance = float(os.environ["CANELY_PERF_TOLERANCE"])
 
 expected = ["engine_churn", "engine_fifo", "bus_load:8", "bus_load:32",
@@ -161,6 +166,12 @@ for key, base in sorted(baseline.items()):
     if ratio < 1 - tolerance:
         regressions.append(f"{key}: {now:.3g}/s is {1 - ratio:.0%} below "
                            f"baseline {base:.3g}/s (tolerance {tolerance:.0%})")
+for key in sorted(baseline_work.keys() | fresh_work.keys()):
+    now, base = fresh_work.get(key), baseline_work.get(key)
+    print(f"  {key:24s} work {now}")
+    if now != base:
+        regressions.append(f"{key}: work counts {now} differ from "
+                           f"baseline {base} (compared exactly)")
 if regressions:
     print("perf regression guard FAILED:")
     for r in regressions:
