@@ -74,7 +74,8 @@ void usage(std::ostream& os) {
         "                      final snapshot only)\n"
         "  --stop-after N      stop after N units (frontier test hook)\n"
         "  --cache-cells N     prefix-replay cache capacity (default 64)\n"
-        "  --verify-every N    re-execute every N-th dedup skip (tripwire)\n"
+        "  --verify-every N    re-execute every N-th dedup skip and rejoin\n"
+        "                      (tripwire)\n"
         "  --merge OUT IN...   merge completed shard frontiers into OUT\n"
         "  --no-shrink         keep the first violating script as found\n"
         "  --artifact FILE     counterexample output "
@@ -394,6 +395,8 @@ int main(int argc, char** argv) {
       std::cout << "equivalence classes:    " << result.dedup_classes << " ("
                 << result.dedup_skips << " units skipped without simulation)"
                 << "\n";
+      std::cout << "rejoined units:         " << result.rejoined
+                << " (stopped on their base trajectory)\n";
       if (cfg.dedup_verify_every != 0) {
         std::cout << "dedup tripwire:         " << result.dedup_verified
                   << " re-executed, " << result.dedup_mismatches

@@ -19,6 +19,9 @@
 //   * swim_steady   — delivered SWIM protocol messages/sec at 128 nodes
 //     in failure-free steady state (probe rotation, acks, piggyback
 //     encode/decode);
+//   * check_explore — depth-2 exhaustive explorer placements/sec; its
+//     `work` object (placements, simulated units, rejoins, dedup skips,
+//     probes) is compared exactly by the CI gate;
 //   * trace_overhead — the bus_load workload with the obs recorder off
 //     vs on: the structured-observability emit path (typed event into the
 //     ring + counter adds) must cost <= 5% of hot-path throughput.
@@ -43,6 +46,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/swim.hpp"
@@ -319,6 +323,30 @@ double swim_steady_rate(std::size_t n, std::uint64_t target_deliveries,
   return static_cast<double>(medium.stats().delivered) / secs;
 }
 
+/// Deterministic work of one check_explore run: what the explorer
+/// resolved, and how (simulated, rejoined, skipped, probed).
+struct ExploreWork {
+  std::uint64_t placements{0};
+  std::uint64_t sim_units{0};  ///< units simulated (runs minus probes)
+  std::uint64_t rejoined{0};   ///< simulated units stopped on their base
+  std::uint64_t dedup_skips{0};
+  std::uint64_t probe_runs{0};
+
+  friend bool operator==(const ExploreWork&, const ExploreWork&) = default;
+
+  [[nodiscard]] json::Value to_json() const {
+    json::Value w = json::Value::object();
+    for (const auto& [name, v] :
+         {std::pair{"placements", placements},
+          std::pair{"sim_units", sim_units}, std::pair{"rejoined", rejoined},
+          std::pair{"dedup_skips", dedup_skips},
+          std::pair{"probe_runs", probe_runs}}) {
+      w.set(name, json::Value::integer(static_cast<std::int64_t>(v)));
+    }
+    return w;
+  }
+};
+
 /// Exploration-at-scale throughput (DESIGN.md §12): placements resolved
 /// per second by the depth-2 exhaustive explorer over the n=8 membership
 /// scenario.  `naive` off measures the scale engine (equivalence dedup +
@@ -328,9 +356,11 @@ double swim_steady_rate(std::size_t n, std::uint64_t target_deliveries,
 /// of the same space (its per-unit cost is workload-size independent by
 /// construction, so the sample keeps the cell affordable).  The ratio
 /// between the two committed cells is the scale engine's speedup.
+/// `work`, when given, receives the run's work counts.
 double check_explore_rate(bool naive, std::size_t threads,
                           std::uint64_t scale,
-                          obs::Telemetry* telemetry = nullptr) {
+                          obs::Telemetry* telemetry = nullptr,
+                          ExploreWork* work = nullptr) {
   check::ExploreConfig cfg;
   cfg.scenario = check::ScenarioConfig::membership(8, /*fda_on=*/true);
   cfg.threads = threads;
@@ -353,6 +383,11 @@ double check_explore_rate(bool naive, std::size_t threads,
   if (result.placements == 0) {
     std::cerr << "perf_core: explorer resolved no placements\n";
     return 0.0;
+  }
+  if (work != nullptr) {
+    *work = ExploreWork{result.placements, result.runs - result.probe_runs,
+                        result.rejoined, result.dedup_skips,
+                        result.probe_runs};
   }
   return static_cast<double>(result.placements) / secs;
 }
@@ -531,9 +566,17 @@ int main(int argc, char** argv) {
   // comparator triples every unit's cost by design.
   const std::size_t explore_reps = reps < 3 ? reps : 3;
   std::vector<double> explore_on, explore_naive;
+  ExploreWork explore_work;
   for (std::size_t r = 0; r < explore_reps; ++r) {
-    explore_on.push_back(
-        check_explore_rate(/*naive=*/false, opts.threads, scale));
+    ExploreWork w;
+    explore_on.push_back(check_explore_rate(/*naive=*/false, opts.threads,
+                                            scale, nullptr, &w));
+    if (r > 0 && w != explore_work) {
+      std::cerr << "perf_core: check_explore work counts differ between "
+                   "reps\n";
+      explore_on.back() = 0.0;
+    }
+    explore_work = w;
     explore_naive.push_back(
         check_explore_rate(/*naive=*/true, opts.threads, scale));
   }
@@ -541,6 +584,11 @@ int main(int argc, char** argv) {
   const auto explore_naive_s = campaign::summarize(explore_naive);
   report("check_explore", explore_on_s, "placements/s");
   report("check_explore_naive", explore_naive_s, "placements/s");
+  std::cout << "  check_explore work: " << explore_work.placements
+            << " placements, " << explore_work.sim_units
+            << " simulated units (" << explore_work.rejoined
+            << " rejoined), " << explore_work.dedup_skips
+            << " dedup skips, " << explore_work.probe_runs << " probes\n";
   std::cout << "  check_explore: scale engine resolves placements "
             << std::setprecision(1)
             << explore_on_s.max / explore_naive_s.max
@@ -548,9 +596,12 @@ int main(int argc, char** argv) {
   for (int naive = 0; naive <= 1; ++naive) {
     json::Value params = json::Value::object();
     params.set("nodes", json::Value::integer(8));
-    cells.push(cell(naive != 0 ? "check_explore_naive" : "check_explore",
-                    std::move(params), "placements_per_sec",
-                    naive != 0 ? explore_naive_s : explore_on_s));
+    json::Value c =
+        cell(naive != 0 ? "check_explore_naive" : "check_explore",
+             std::move(params), "placements_per_sec",
+             naive != 0 ? explore_naive_s : explore_on_s);
+    if (naive == 0) c.set("work", explore_work.to_json());
+    cells.push(std::move(c));
   }
   // Campaign-telemetry overhead on the same explorer workload.  Same
   // back-to-back alternating-order protocol as trace_overhead; the "on"

@@ -23,13 +23,18 @@ namespace {
 struct Cell {
   std::uint64_t trace_hash{0};
   bool violated{false};
+  bool rejoined{false};  ///< stopped on its base trajectory (record mode)
   Violation first;
 };
 
-Cell run_cell(const ScenarioConfig& scenario, const FaultScript& script) {
-  RunResult r = run_checked(scenario, script);
+Cell run_cell(const ScenarioConfig& scenario, const FaultScript& script,
+              const RejoinTarget* rejoin = nullptr) {
+  RunOptions opts;
+  opts.rejoin = rejoin;
+  RunResult r = run_checked(scenario, script, opts);
   Cell c;
   c.trace_hash = r.trace_hash;
+  c.rejoined = r.rejoined;
   if (!r.violations.empty()) {
     c.violated = true;
     c.first = r.violations.front();
@@ -97,12 +102,14 @@ void placements_for(const TxLogEntry& entry, std::size_t max_victim_sets,
 /// `naive_rerun` every worker first re-simulates every proper prefix of
 /// its script from t=0 (tx log only, result discarded) — the probes a
 /// stateless re-run-from-zero explorer pays to locate each fault's
-/// target attempt before it can run the placement itself.
+/// target attempt before it can run the placement itself.  A non-empty
+/// `rejoin` gives script i the base trajectory rejoin[i].
 std::vector<Cell> run_batch(const ScenarioConfig& scenario,
                             const std::vector<FaultScript>& scripts,
                             std::size_t threads, std::uint64_t seed,
                             bool naive_rerun = false,
-                            obs::Telemetry* telemetry = nullptr) {
+                            obs::Telemetry* telemetry = nullptr,
+                            std::span<const RejoinTarget> rejoin = {}) {
   campaign::Grid grid;
   std::vector<double> axis(scripts.size());
   for (std::size_t i = 0; i < axis.size(); ++i) {
@@ -121,7 +128,8 @@ std::vector<Cell> run_batch(const ScenarioConfig& scenario,
         prefix.push_back(ev);
       }
     }
-    return run_cell(scenario, scripts[spec.index]);
+    return run_cell(scenario, scripts[spec.index],
+                    rejoin.empty() ? nullptr : &rejoin[spec.index]);
   });
   return std::move(outcome.results);
 }
@@ -208,13 +216,16 @@ std::uint64_t unit_key(std::uint64_t state, const FaultEvent& last) {
   return h;
 }
 
-/// One enumerated unit: shard-computable coordinates, class key, and the
-/// full fault script that executes it.
+/// One enumerated unit: shard-computable coordinates, class key, the
+/// full fault script that executes it, and the probe of its base (the
+/// trajectory it may rejoin; a prefix cache slot, which stays cached
+/// while the unit is pending).
 struct Unit {
   std::uint64_t u{};
   std::uint64_t j{};
   std::uint64_t key{};
   FaultScript script;
+  const PrefixProbe* base{nullptr};
 };
 
 struct ClassOutcome {
@@ -287,8 +298,9 @@ class RecordExplorer {
         Unit unit;
         unit.u = u;
         unit.j = 0;
-        unit.key = unit_key(sample_state(base0->samples, ev.tx), ev);
+        unit.key = unit_key(sample_state(base0->trajectory.samples, ev.tx), ev);
         unit.script = placements[u];
+        unit.base = base0;
         push_unit(std::move(unit));
       }
     } else {
@@ -394,6 +406,15 @@ class RecordExplorer {
     }
     obs::telemetry_add(tel_, obs::TelemetryCounter::kPrefixMisses);
     obs::telemetry_add(tel_, obs::TelemetryCounter::kRuns);
+    // Pending units view their base's slot: resolve them before the
+    // insert below evicts it (only a cache smaller than the bases of one
+    // chunk gets here; records are chunk-size invariant).
+    if (const PrefixProbe* victim = cache_.next_eviction();
+        victim != nullptr && dedup_ &&
+        std::any_of(pending_.begin(), pending_.end(),
+                    [&](const Unit& u) { return u.base == victim; })) {
+      flush();
+    }
     RunOptions opts;
     opts.want_tx_log = true;
     opts.want_samples = true;
@@ -402,7 +423,8 @@ class RecordExplorer {
     const RunResult r = run_checked(cfg_.scenario, prefix, opts);
     ++result_.runs;
     ++result_.probe_runs;
-    return cache_.insert(key, r.tx_log, r.samples);
+    return cache_.insert(key, r.tx_log, r.samples, r.violations,
+                         script_end(prefix));
   }
 
   /// Enumerate and push every second-fault unit of one base, in
@@ -427,7 +449,8 @@ class RecordExplorer {
     std::uint64_t j = 0;
     for (const TxLogEntry& target : targets) {
       if (stopped_) return;
-      const std::uint64_t state = sample_state(p->samples, target.tx_index);
+      const std::uint64_t state =
+          sample_state(p->trajectory.samples, target.tx_index);
       const std::vector<can::NodeId> pool = members(target.receivers);
       const std::uint64_t subsets = (1ULL << pool.size()) - 1;
       std::uint64_t used = 0;
@@ -451,6 +474,7 @@ class RecordExplorer {
           unit.key = unit_key(state, second);
           unit.script = base;
           unit.script.push_back(second);
+          unit.base = p;
           push_unit(std::move(unit));
         }
       }
@@ -513,14 +537,18 @@ class RecordExplorer {
       }
     }
 
+    // With dedup on, each simulated unit may also stop where it rejoins
+    // its base trajectory (RejoinTarget) — the same soundness argument.
     std::vector<FaultScript> scripts;
+    std::vector<RejoinTarget> rejoin;
     scripts.reserve(to_run.size());
     for (const std::size_t idx : to_run) {
       scripts.push_back(pending_[idx].script);
+      if (dedup_) rejoin.push_back(pending_[idx].base->trajectory);
     }
     const std::vector<Cell> cells =
         run_batch(cfg_.scenario, scripts, cfg_.threads, cfg_.seed,
-                  cfg_.naive_rerun, tel_);
+                  cfg_.naive_rerun, tel_, rejoin);
     result_.runs += cells.size();
     obs::telemetry_add(tel_, obs::TelemetryCounter::kUnitsJudged,
                        cells.size());
@@ -546,13 +574,19 @@ class RecordExplorer {
       ClassOutcome outcome;
       const auto cit = cell_of.find(i);
       if (cit != cell_of.end()) {
-        outcome.violated = cells[cit->second].violated;
-        outcome.first = cells[cit->second].first;
+        const Cell& cell = cells[cit->second];
+        outcome.violated = cell.violated;
+        outcome.first = cell.first;
+        if (cell.rejoined) {
+          ++result_.rejoined;
+          obs::telemetry_add(tel_, obs::TelemetryCounter::kRejoined);
+          verify(unit, outcome, rejoin_verify_tick_);
+        }
       } else {
         outcome = classes_.at(unit.key);
         ++result_.dedup_skips;
         obs::telemetry_add(tel_, obs::TelemetryCounter::kDedupSkips);
-        verify_skip(unit, outcome);
+        verify(unit, outcome, skip_verify_tick_);
       }
       FrontierRecord rec;
       rec.u = unit.u;
@@ -611,12 +645,14 @@ class RecordExplorer {
         obs::default_wall_clock().now().count());
   }
 
-  /// Dedup tripwire: re-simulate every k-th skipped unit and compare its
+  /// Dedup tripwire: re-simulate every k-th unit of one kind — dedup
+  /// skips or rejoins, counted by `tick` — to full length and compare its
   /// own verdict to the inherited one.  Any mismatch means the canonical
   /// state hash missed behavior-determining state.
-  void verify_skip(const Unit& unit, const ClassOutcome& inherited) {
+  void verify(const Unit& unit, const ClassOutcome& inherited,
+              std::uint64_t& tick) {
     if (cfg_.dedup_verify_every == 0) return;
-    if (++verify_tick_ % cfg_.dedup_verify_every != 0) return;
+    if (++tick % cfg_.dedup_verify_every != 0) return;
     obs::telemetry_add(tel_, obs::TelemetryCounter::kRuns);
     const Cell own = run_cell(cfg_.scenario, unit.script);
     ++result_.runs;
@@ -656,7 +692,8 @@ class RecordExplorer {
   std::uint64_t fingerprint_{};
   std::uint64_t resume_cursor_{0};
   std::uint64_t enumerated_{0};
-  std::uint64_t verify_tick_{0};
+  std::uint64_t skip_verify_tick_{0};
+  std::uint64_t rejoin_verify_tick_{0};
   bool stopped_{false};
   std::vector<Unit> pending_;
   std::vector<FrontierRecord> records_;

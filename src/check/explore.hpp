@@ -37,8 +37,16 @@
 //    evolution (the harness is deterministic and monitors render
 //    verdicts only in finish()), so only the first unit of a class is
 //    simulated; the rest inherit its verdict as dedup skips.
+//  * Rejoin (with dedup): a simulated unit stops at the first attempt
+//    after its last fault that starts at the instant of one of its base
+//    probe's post-script samples, if the crash set and the canonical
+//    state hash match there — same state, no fault left to fire, so the
+//    same continuation — and inherits the probe's verdict
+//    (RejoinTarget).  In CANELy's join phase most omissions are absorbed
+//    by the idle gap before join_wait, so about half of the simulated
+//    units rejoin there.
 //  * Prefix-replay caching: all units of a base share the base's probe
-//    run (tx log + judge-time samples).  Probes live in an LRU
+//    run (tx log + judge-time samples + verdict).  Probes live in an LRU
 //    PrefixCache and are computed once per base instead of once per
 //    placement — the dominant saving over naive re-run-from-zero.
 //  * Sharding + frontier: shard i of N owns units with u % N == i; a
@@ -96,7 +104,8 @@ struct ExploreConfig {
 
   /// Depth 2: full base x second cross product, no early stop.
   bool exhaustive{false};
-  /// Skip units whose equivalence class has already been simulated.
+  /// Skip units whose equivalence class has already been simulated, and
+  /// stop simulated units that rejoin their base trajectory.
   bool dedup{false};
   /// This shard owns units with u % shard_count == shard_index.
   std::size_t shard_index{0};
@@ -122,9 +131,11 @@ struct ExploreConfig {
   /// LRU capacity of the prefix-replay cache (probe runs retained).
   std::size_t prefix_cache_cells{64};
   /// Tripwire: re-execute every k-th dedup skip and compare its verdict
-  /// against the class representative's (0 = off).  Mismatches count in
-  /// ExploreResult::dedup_mismatches — any nonzero value means the state
-  /// hash missed behavior-determining state.
+  /// against the class representative's, and run every k-th rejoined
+  /// unit to full length and compare it against its base probe's (0 =
+  /// off).  Mismatches count in ExploreResult::dedup_mismatches — any
+  /// nonzero value means the state hash missed behavior-determining
+  /// state.
   std::size_t dedup_verify_every{0};
   /// Bench comparator (perf_core `check_explore_naive`): cost out the
   /// naive re-run-from-zero strategy — every unit re-simulates every
@@ -158,6 +169,8 @@ struct ExploreResult {
   std::size_t prefix_cache_hits{0};  ///< probes served from the cache
   std::size_t dedup_classes{0};      ///< distinct equivalence classes
   std::size_t dedup_skips{0};        ///< units resolved without simulation
+  std::size_t rejoined{0};  ///< simulated units stopped on their base
+                            ///< trajectory (verdict inherited)
   std::size_t dedup_verified{0};     ///< tripwire re-executions
   std::size_t dedup_mismatches{0};   ///< tripwire disagreements (expect 0)
   std::size_t dropped_frames{0};     ///< in-window attempts over max_frames

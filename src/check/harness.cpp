@@ -1,5 +1,6 @@
 #include "check/harness.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -14,21 +15,37 @@ namespace canely::check {
 namespace {
 
 /// Wraps the script injector to also record the per-attempt targeting map
-/// (probe runs).  judge() sees every non-collision attempt exactly once,
-/// in wire order, with the full TxContext — including the global attempt
-/// index the scripts key on.
+/// (probe runs), sample the state hash, and detect a rejoin.  judge()
+/// sees every non-collision attempt exactly once, in wire order, with the
+/// full TxContext — including the global attempt index the scripts key on.
 class LoggingInjector final : public can::FaultInjector {
  public:
   /// Returns the canonical state hash of the whole universe, evaluated at
   /// the instant of the call (judge-time, pre-verdict).
   using Sampler = std::function<std::uint64_t()>;
 
-  LoggingInjector(FaultScript script, bool want_log)
-      : inner_{std::move(script)}, want_log_{want_log} {}
+  LoggingInjector(FaultScript script, bool want_log,
+                  const can::NodeSet& crashed)
+      : own_end_{script_end(script)},
+        inner_{std::move(script)},
+        want_log_{want_log},
+        crashed_{crashed} {}
 
   void set_sampler(Sampler sampler, sim::Time until) {
     sampler_ = std::move(sampler);
     sample_until_ = until;
+  }
+
+  /// Arm the rejoin check (needs the sampler); a rejoin stops `engine`.
+  void set_rejoin(const RejoinTarget& target, sim::Engine& engine) {
+    rejoin_ = target.samples;
+    const auto post = std::partition_point(
+        rejoin_.begin(), rejoin_.end(), [&](const StateSample& s) {
+          return s.tx_index < target.script_end;
+        });
+    rejoin_ = rejoin_.subspan(
+        static_cast<std::size_t>(post - rejoin_.begin()));
+    engine_ = &engine;
   }
 
   can::Verdict judge(const can::TxContext& ctx) override {
@@ -49,8 +66,10 @@ class LoggingInjector final : public can::FaultInjector {
     // Sample before the verdict: the hash captures the state a fault
     // targeting this attempt would act on.
     if (sampler_ && ctx.start < sample_until_) {
-      samples_.push_back(StateSample{ctx.tx_index, sampler_()});
+      samples_.push_back(
+          StateSample{ctx.tx_index, sampler_(), ctx.start, crashed_});
     }
+    if (!rejoin_.empty() && ctx.tx_index >= own_end_) check_rejoin(ctx);
     return inner_.judge(ctx);
   }
 
@@ -60,14 +79,36 @@ class LoggingInjector final : public can::FaultInjector {
 
   [[nodiscard]] std::vector<TxLogEntry>& log() { return log_; }
   [[nodiscard]] std::vector<StateSample>& samples() { return samples_; }
+  [[nodiscard]] bool rejoined() const { return rejoined_; }
 
  private:
+  /// Past the own script: skip target samples that start earlier; at the
+  /// first shared instant compare (crash set first — cheap and
+  /// necessary — then the digest), and disarm either way.
+  void check_rejoin(const can::TxContext& ctx) {
+    while (!rejoin_.empty() && rejoin_.front().start < ctx.start) {
+      rejoin_ = rejoin_.subspan(1);
+    }
+    if (rejoin_.empty() || rejoin_.front().start != ctx.start) return;
+    const StateSample target = rejoin_.front();
+    rejoin_ = {};
+    if (target.crashed == crashed_ && target.state_hash == sampler_()) {
+      rejoined_ = true;
+      engine_->stop();
+    }
+  }
+
+  std::uint64_t own_end_;
   ScriptInjector inner_;
   bool want_log_;
+  const can::NodeSet& crashed_;
   Sampler sampler_;
   sim::Time sample_until_{sim::Time::max()};
   std::vector<TxLogEntry> log_;
   std::vector<StateSample> samples_;
+  std::span<const StateSample> rejoin_;  ///< unvisited post-script samples
+  sim::Engine* engine_{nullptr};
+  bool rejoined_{false};
 };
 
 std::uint64_t hash_record(std::uint64_t h, const can::TxRecord& rec) {
@@ -88,6 +129,12 @@ std::uint64_t hash_record(std::uint64_t h, const can::TxRecord& rec) {
 }
 
 }  // namespace
+
+std::uint64_t script_end(const FaultScript& script) {
+  std::uint64_t end = 0;
+  for (const FaultEvent& ev : script) end = std::max(end, ev.tx + 1);
+  return end;
+}
 
 ScenarioConfig ScenarioConfig::membership(std::size_t n, bool fda_on) {
   ScenarioConfig cfg;
@@ -136,7 +183,13 @@ RunResult run_checked(const ScenarioConfig& cfg, const FaultScript& script,
   bus_cfg.clustering = cfg.clustering;
   can::Bus bus{engine, bus_cfg};
 
-  LoggingInjector injector{script, want_tx_log};
+  // The crash record the harness itself maintains; the injector reads
+  // its crash set when sampling.
+  EndState end;
+  end.nodes = can::NodeSet::first_n(cfg.n);
+  end.settle = cfg.settle;
+
+  LoggingInjector injector{script, want_tx_log, end.crashed};
   bus.set_fault_injector(&injector);
   bus.set_recorder(recorder);
 
@@ -172,10 +225,6 @@ RunResult run_checked(const ScenarioConfig& cfg, const FaultScript& script,
   const std::array<Monitor*, 5> monitors{&fda_mon, &rha_mon, &view_mon,
                                          &silence_mon, &latency_mon};
 
-  EndState end;
-  end.nodes = can::NodeSet::first_n(cfg.n);
-  end.settle = cfg.settle;
-
   RunResult result;
 
   // Wire the observation seams.  Protocol code keeps its own handler
@@ -202,7 +251,7 @@ RunResult run_checked(const ScenarioConfig& cfg, const FaultScript& script,
     });
   }
 
-  if (opts.want_samples) {
+  if (opts.want_samples || opts.rejoin != nullptr) {
     // Canonical state hash: fixed feed order — instant, bus, nodes 0..n-1,
     // the crash record the harness itself maintains, then the monitor
     // panel.  Everything the run's continuation depends on is in here;
@@ -218,7 +267,11 @@ RunResult run_checked(const ScenarioConfig& cfg, const FaultScript& script,
           for (const Monitor* m : monitors) m->hash_state(h, cfg.n);
           return h.digest();
         },
-        opts.sample_until);
+        // A run that only checks for a rejoin keeps no samples.
+        opts.want_samples ? opts.sample_until : sim::Time::zero());
+    if (opts.rejoin != nullptr) {
+      injector.set_rejoin(*opts.rejoin, engine);
+    }
   }
 
   std::uint64_t hash = kFnvOffset;
@@ -250,7 +303,15 @@ RunResult run_checked(const ScenarioConfig& cfg, const FaultScript& script,
     }
   }
 
-  for (Monitor* m : monitors) m->finish(end, result.violations);
+  if (injector.rejoined()) {
+    // Same state as the target at a post-script instant: its verdict is
+    // this run's (RejoinTarget).
+    result.rejoined = true;
+    result.violations.assign(opts.rejoin->violations.begin(),
+                             opts.rejoin->violations.end());
+  } else {
+    for (Monitor* m : monitors) m->finish(end, result.violations);
+  }
   if (recorder != nullptr) {
     obs::set_run_gauges(*recorder, engine.dispatched(),
                         bus.stats().bits_total, bus_cfg.bit_rate_bps,

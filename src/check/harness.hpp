@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "can/types.hpp"
@@ -20,6 +21,7 @@
 #include "check/fault_script.hpp"
 #include "check/monitor.hpp"
 #include "obs/recorder.hpp"
+#include "sim/hash.hpp"
 #include "sim/time.hpp"
 
 namespace canely::check {
@@ -80,10 +82,35 @@ struct ViewInstall {
 /// transmission attempt (before any verdict for that attempt applies).
 /// Two runs in the same state at the attempt a fault targets evolve
 /// identically under the same fault — the explorer's equivalence dedup
-/// keys on this.
+/// keys on this.  `start` and `crashed` locate the sample for a run
+/// that tries to rejoin this trajectory (RejoinTarget): attempt indices
+/// differ between runs, instants and crash sets are comparable.
 struct StateSample {
   std::uint64_t tx_index{};
   std::uint64_t state_hash{};
+  sim::Time start{};       ///< the attempt's start instant
+  can::NodeSet crashed{};  ///< the harness crash set at judge-time
+};
+
+/// A base trajectory a run may rejoin: the judge-time samples and the
+/// verdict of a probe run (the record-mode explorer's base probe).
+///
+/// Once a run's own script is exhausted, it checks the *first* of its
+/// attempts that starts at the instant of one of the probe's post-script
+/// samples.  If the crash sets and the canonical state hashes match
+/// there, both runs are in the same state with no fault left to fire,
+/// so their continuations — and the verdicts monitors render in
+/// finish() — are identical: the run stops and reports `violations`.
+/// Only that first shared instant is checked; after a mismatch there
+/// the run goes on to its end.  The views point into caller-owned
+/// storage.
+struct RejoinTarget {
+  std::span<const StateSample> samples;  ///< the probe's, in tx order
+  /// First attempt index past the probe's script (its last scripted
+  /// attempt + 1; 0 for the fault-free probe): only samples from here
+  /// on are post-script.
+  std::uint64_t script_end{0};
+  std::span<const Violation> violations;  ///< the probe's verdict
 };
 
 /// Knobs for run_checked beyond the scenario and the script.
@@ -98,11 +125,15 @@ struct RunOptions {
   /// Structured observability feed (typed events + metrics); used to
   /// attach a Perfetto timeline to counterexample artifacts.
   obs::Recorder* recorder{nullptr};
+  /// Stop early on rejoining this trajectory (non-owning, may be null).
+  const RejoinTarget* rejoin{nullptr};
 };
 
 /// Everything a checked run reports.
 struct RunResult {
   std::vector<Violation> violations;
+  /// Digest of the completed attempts.  A rejoined run's covers only the
+  /// prefix it simulated (record mode never reads it).
   std::uint64_t trace_hash{0};
   std::vector<TxLogEntry> tx_log;  ///< only when requested
   /// Per-node view-install history; only when the tx log is requested.
@@ -111,7 +142,13 @@ struct RunResult {
   std::vector<StateSample> samples;
   std::uint64_t attempts{0};  ///< bus attempts completed
   sim::Time end{};
+  /// Stopped on rejoining RunOptions::rejoin: `violations` are the
+  /// target's, and `attempts` counts only the simulated prefix.
+  bool rejoined{false};
 };
+
+/// First attempt index past a script's last fault (0 for an empty one).
+[[nodiscard]] std::uint64_t script_end(const FaultScript& script);
 
 /// Execute one checked run.
 [[nodiscard]] RunResult run_checked(const ScenarioConfig& cfg,
@@ -125,15 +162,11 @@ struct RunResult {
                                     obs::Recorder* recorder = nullptr);
 
 /// FNV-1a accumulator used for the trace hash (exposed for aggregate
-/// hashing in the explorer).
+/// hashing in the explorer); the shared word step of sim/hash.hpp.
 [[nodiscard]] constexpr std::uint64_t fnv1a(std::uint64_t hash,
                                             std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFF;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return sim::fnv1a_word(hash, value);
 }
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvOffset = sim::kFnvOffset;
 
 }  // namespace canely::check

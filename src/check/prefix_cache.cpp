@@ -33,19 +33,30 @@ const PrefixProbe* PrefixCache::find(std::uint64_t key) {
   return &slot.probe;
 }
 
+std::size_t PrefixCache::lru_slot() const {
+  std::size_t pos = 0;
+  for (std::size_t i = 1; i < slots_.size(); ++i) {
+    if (slots_[i].last_used < slots_[pos].last_used) pos = i;
+  }
+  return pos;
+}
+
+const PrefixProbe* PrefixCache::next_eviction() const {
+  if (slots_.size() < capacity_) return nullptr;
+  return &slots_[lru_slot()].probe;
+}
+
 const PrefixProbe* PrefixCache::insert(
     std::uint64_t key, const std::vector<TxLogEntry>& tx_log,
-    const std::vector<StateSample>& samples) {
+    const std::vector<StateSample>& samples,
+    const std::vector<Violation>& violations, std::uint64_t script_end) {
   std::size_t pos;
   if (slots_.size() < capacity_) {
     pos = slots_.size();
     slots_.emplace_back();
     slots_[pos].arena = std::make_unique<sim::Arena>();
   } else {
-    pos = 0;
-    for (std::size_t i = 1; i < slots_.size(); ++i) {
-      if (slots_[i].last_used < slots_[pos].last_used) pos = i;
-    }
+    pos = lru_slot();
     index_.erase(slots_[pos].key);
     slots_[pos].arena->reset();  // blocks retained: steady state reallocates nothing
     ++stats_.evictions;
@@ -59,7 +70,9 @@ const PrefixProbe* PrefixCache::insert(
   const std::span<StateSample> sample_cell =
       slot.arena->alloc_span<StateSample>(samples.size());
   std::copy(samples.begin(), samples.end(), sample_cell.begin());
-  slot.probe = PrefixProbe{log_cell, sample_cell};
+  slot.violations = violations;
+  slot.probe = PrefixProbe{
+      log_cell, RejoinTarget{sample_cell, script_end, slot.violations}};
   index_[key] = pos;
   return &slot.probe;
 }

@@ -3,11 +3,12 @@
 //
 // Every depth-2 placement shares its base (first-fault) script with all
 // other placements derived from the same base.  The probe run for that
-// base — the tx log enumerating injectable attempts plus the judge-time
-// state samples the dedup keys on — is therefore pure reuse: computing it
-// once per base instead of once per placement removes the dominant cost
-// of naive depth-2 exploration (re-simulating the shared prefix from
-// zero).
+// base — the tx log enumerating injectable attempts, the judge-time
+// state samples the dedup keys on, and the probe's own verdict, which
+// units that rejoin the base trajectory inherit — is therefore pure
+// reuse: computing it once per base instead of once per placement
+// removes the dominant cost of naive depth-2 exploration (re-simulating
+// the shared prefix from zero).
 //
 // The cache is an LRU over full probe results, keyed by the base script's
 // content hash.  Cell payloads live in one sim::Arena per slot: eviction
@@ -33,12 +34,14 @@ namespace canely::check {
 /// 64-bit caveat) identify a shared prefix.
 [[nodiscard]] std::uint64_t hash_script(const FaultScript& script);
 
-/// One cached probe: the per-attempt targeting map and the judge-time
-/// state samples of a base run.  Spans point into the owning cache slot's
-/// arena and stay valid until that slot is evicted.
+/// One cached probe: the per-attempt targeting map of a base run, and
+/// its trajectory — the judge-time state samples the dedup keys on, its
+/// script end and its verdict, which units that rejoin it inherit.
+/// Spans point into the owning cache slot and stay valid until that slot
+/// is evicted.
 struct PrefixProbe {
   std::span<const TxLogEntry> tx_log;
-  std::span<const StateSample> samples;
+  RejoinTarget trajectory;
 };
 
 /// LRU-bounded cache of base-run probes.
@@ -58,7 +61,13 @@ class PrefixCache {
   /// is evicted by a later insert).
   const PrefixProbe* insert(std::uint64_t key,
                             const std::vector<TxLogEntry>& tx_log,
-                            const std::vector<StateSample>& samples);
+                            const std::vector<StateSample>& samples,
+                            const std::vector<Violation>& violations = {},
+                            std::uint64_t script_end = 0);
+
+  /// The probe whose slot the next insert of a new key overwrites (null
+  /// while the cache has room).
+  [[nodiscard]] const PrefixProbe* next_eviction() const;
 
   struct Stats {
     std::uint64_t hits{};
@@ -72,8 +81,11 @@ class PrefixCache {
     std::uint64_t key{};
     std::uint64_t last_used{};
     std::unique_ptr<sim::Arena> arena;
+    std::vector<Violation> violations;  // not trivially destructible
     PrefixProbe probe;
   };
+
+  [[nodiscard]] std::size_t lru_slot() const;
 
   std::size_t capacity_;
   std::uint64_t tick_{0};

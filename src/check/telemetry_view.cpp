@@ -47,9 +47,14 @@ TelemetrySnapshot parse_telemetry_line(const std::string& line) {
   const Value& counters =
       json::require(root, "counters", Value::Kind::kObject, kWhat);
   for (std::size_t c = 0; c < obs::kTelemetryCounters; ++c) {
-    snap.counters[c] = static_cast<std::uint64_t>(json::get_int(
-        counters, obs::to_string(static_cast<obs::TelemetryCounter>(c)),
-        kWhat));
+    const auto counter = static_cast<obs::TelemetryCounter>(c);
+    // `rejoined` joined the schema later: lines written before it read 0.
+    if (counter == obs::TelemetryCounter::kRejoined &&
+        counters.find(obs::to_string(counter)) == nullptr) {
+      continue;
+    }
+    snap.counters[c] = static_cast<std::uint64_t>(
+        json::get_int(counters, obs::to_string(counter), kWhat));
   }
   const Value& stages =
       json::require(root, "stages", Value::Kind::kObject, kWhat);
@@ -131,6 +136,7 @@ StatusSummary summarize(const std::vector<ShardStatus>& shards) {
     sum.total += last.total_units;
     sum.rate += sh.rate();
     sum.runs += last.counter(obs::TelemetryCounter::kRuns);
+    sum.rejoined += last.counter(obs::TelemetryCounter::kRejoined);
     sum.violations += last.counter(obs::TelemetryCounter::kViolations);
     sum.dropped_lines += last.dropped_lines;
     dedup_skips += last.counter(obs::TelemetryCounter::kDedupSkips);
@@ -229,6 +235,7 @@ json::Value status_json(const std::vector<ShardStatus>& shards) {
        {"cache_pct", json::Value::number(sum.cache_pct)},
        {"eta_sec", json::Value::number(sum.eta_sec)},
        {"runs", count(sum.runs)},
+       {"rejoined", count(sum.rejoined)},
        {"violations", count(sum.violations)},
        {"dropped_lines", count(sum.dropped_lines)},
        {"shards_complete", count(sum.shards_complete)}});
@@ -264,6 +271,15 @@ std::string render_status_text(const std::vector<ShardStatus>& shards) {
     if (done > 0) {
       out += "  dedup " + pct(100.0 * static_cast<double>(skips) /
                               static_cast<double>(done));
+    }
+    // Share of the simulated units that stopped on their base trajectory.
+    const std::uint64_t judged =
+        last.counter(obs::TelemetryCounter::kUnitsJudged);
+    const std::uint64_t rejoined =
+        last.counter(obs::TelemetryCounter::kRejoined);
+    if (judged > 0 && rejoined > 0) {
+      out += "  rejoin " + pct(100.0 * static_cast<double>(rejoined) /
+                               static_cast<double>(judged));
     }
     const std::uint64_t hits =
         last.counter(obs::TelemetryCounter::kPrefixHits);

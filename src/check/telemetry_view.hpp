@@ -5,8 +5,8 @@
 // `canely-telemetry-1` JSON lines; this header parses them back and
 // reduces one file per shard into the status a live dashboard needs:
 // progress against total_units, placements/s from the last two
-// snapshots, dedup and prefix-cache ratios, an ETA, and the advertised
-// frontier file's checkpoint state.  Everything here is a pure function
+// snapshots, dedup, rejoin and prefix-cache ratios, an ETA, and the
+// advertised frontier file's checkpoint state.  Everything here is a pure function
 // of file bytes — the CLI around it (tools/canely_top.cpp) owns the
 // loop, the clock, and the screen.
 
@@ -82,6 +82,7 @@ struct StatusSummary {
   double cache_pct{0};     ///< prefix hits / (hits + misses)
   double eta_sec{-1};      ///< -1 = unknown (no total or zero rate)
   std::uint64_t runs{0};
+  std::uint64_t rejoined{0};  ///< simulated units stopped on their base
   std::uint64_t violations{0};
   std::uint64_t dropped_lines{0};
   std::size_t shards_complete{0};  ///< frontiers marked complete

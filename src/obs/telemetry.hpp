@@ -57,6 +57,7 @@ enum class TelemetryCounter : std::uint8_t {
   kViolations,    ///< monitor violations recorded
   kShrinkSteps,   ///< shrink probes spent minimizing a counterexample
   kCheckpoints,   ///< frontier checkpoint files written
+  kRejoined,      ///< judged units stopped on their base trajectory
   kCount
 };
 
@@ -74,6 +75,7 @@ constexpr std::size_t kTelemetryCounters =
     case TelemetryCounter::kViolations: return "violations";
     case TelemetryCounter::kShrinkSteps: return "shrink_steps";
     case TelemetryCounter::kCheckpoints: return "checkpoints";
+    case TelemetryCounter::kRejoined: return "rejoined";
     case TelemetryCounter::kCount: break;
   }
   return "?";

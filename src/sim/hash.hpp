@@ -16,7 +16,16 @@
 // sequence — independent of platform, thread count, and process.  The
 // seed keeps independently-keyed hash domains (state classes vs. script
 // keys) from colliding structurally.
+//
+// fnv1a_word() is the one word step every FNV user in the tree shares
+// (this accumulator, the checker's trace hash, script and record keys).
+// It computes exactly the byte-wise loop, but a zero byte's step is a
+// bare multiply (x ^ 0 == x), so the run of zero high bytes that most
+// fed words carry — bools, ids, counts, sub-second nanosecond times —
+// folds into one multiply by a precomputed power of the prime.
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -24,22 +33,40 @@
 
 namespace canely::sim {
 
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// kFnvPrimePowers[k] = kFnvPrime^k mod 2^64: k zero-byte steps.
+inline constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> p{};
+  p[0] = 1;
+  for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * kFnvPrime;
+  return p;
+}();
+
+/// One FNV-1a step over the 8 little-endian bytes of `value`: the same
+/// digest as the byte-wise loop, with the zero high bytes folded into a
+/// single multiply.
+[[nodiscard]] constexpr std::uint64_t fnv1a_word(std::uint64_t hash,
+                                                 std::uint64_t value) {
+  const int significant = (71 - std::countl_zero(value)) / 8;
+  for (int i = 0; i < significant; ++i) {
+    hash ^= (value >> (8 * i)) & 0xFF;
+    hash *= kFnvPrime;
+  }
+  return hash * kFnvPrimePowers[static_cast<std::size_t>(8 - significant)];
+}
+
 /// Seeded FNV-1a accumulator for canonical component state.
 class StateHasher {
  public:
-  static constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
-  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-
   explicit constexpr StateHasher(std::uint64_t seed = 0) {
     feed(seed);
   }
 
   /// Mix one 64-bit word, byte-wise little-endian.
   constexpr void feed(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (value >> (8 * i)) & 0xFF;
-      hash_ *= kPrime;
-    }
+    hash_ = fnv1a_word(hash_, value);
   }
 
   constexpr void feed_bool(bool value) { feed(value ? 1 : 0); }
@@ -60,7 +87,7 @@ class StateHasher {
   [[nodiscard]] constexpr std::uint64_t digest() const { return hash_; }
 
  private:
-  std::uint64_t hash_{kOffset};
+  std::uint64_t hash_{kFnvOffset};
 };
 
 }  // namespace canely::sim

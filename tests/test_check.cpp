@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/artifact.hpp"
@@ -86,6 +87,93 @@ TEST(CheckHarness, ScenarioBoundsAreOrdered) {
   const auto cfg = ScenarioConfig::membership(8);
   EXPECT_LT(cfg.detection_bound(), cfg.expel_grace());
   EXPECT_LT(cfg.converge_by(), cfg.duration - cfg.expel_grace());
+}
+
+// --- rejoining a base trajectory -------------------------------------------
+
+// A run given its base probe's trajectory stops once it rejoins it and
+// reports the probe's verdict; that must be the verdict the same script
+// reaches when run to the end.  The base is a violating two-fault script
+// from the record-mode explorer's depth-2 space (n0 and n1 crash in the
+// join burst; n2 detects n0's crash only after join_wait, past the
+// detection-latency bound), so the inherited verdict is not empty.
+TEST(CheckHarness, RejoinedRunReturnsTheFullRunsViolations) {
+  const auto cfg = ScenarioConfig::membership(8, /*fda_on=*/true);
+  FaultEvent first;
+  first.tx = 0;
+  first.victims = can::NodeSet{1};
+  first.crash_sender = true;
+  FaultEvent second;
+  second.tx = 8;
+  second.victims = can::NodeSet{2};
+  second.crash_sender = true;
+  const FaultScript base{first, second};
+  check::RunOptions probe_opts;
+  probe_opts.want_tx_log = true;
+  probe_opts.want_samples = true;
+  const RunResult probe = check::run_checked(cfg, base, probe_opts);
+  ASSERT_FALSE(probe.violations.empty());
+  const check::RejoinTarget target{probe.samples, check::script_end(base),
+                                   probe.violations};
+  EXPECT_EQ(target.script_end, 9u);
+  check::RunOptions opts;
+  opts.rejoin = &target;
+  // Tampered trajectories: one bit off in every sample's digest, or in
+  // every crash set.  Each half of the match is necessary, so nothing
+  // may rejoin these.
+  std::vector<check::StateSample> bad_hash = probe.samples;
+  std::vector<check::StateSample> bad_crash = probe.samples;
+  for (check::StateSample& s : bad_hash) s.state_hash ^= 1;
+  for (check::StateSample& s : bad_crash) {
+    s.crashed = can::NodeSet::from_bits(s.crashed.bits() ^ 1ULL << 7);
+  }
+
+  // Third faults: a single-victim omission (no crash) on each of the
+  // first post-base attempts.  Rejoined or not, the early-stopping run
+  // must agree with the full one.
+  std::size_t tried = 0;
+  std::size_t rejoins = 0;
+  for (const check::TxLogEntry& e : probe.tx_log) {
+    if (e.tx_index < target.script_end || e.receivers.empty()) continue;
+    if (++tried > 12) break;
+    FaultEvent third;
+    third.tx = e.tx_index;
+    third.op = FaultOp::kOmit;
+    third.victims = can::NodeSet{*e.receivers.begin()};
+    FaultScript script = base;
+    script.push_back(third);
+    const RunResult early = check::run_checked(cfg, script, opts);
+    const RunResult full = check::run_checked(cfg, script);
+    EXPECT_FALSE(full.rejoined);
+    if (early.rejoined) {
+      ++rejoins;
+      EXPECT_LT(early.attempts, full.attempts);
+      for (const auto& samples : {bad_hash, bad_crash}) {
+        const check::RejoinTarget bad{samples, target.script_end,
+                                      target.violations};
+        check::RunOptions bad_opts;
+        bad_opts.rejoin = &bad;
+        EXPECT_FALSE(check::run_checked(cfg, script, bad_opts).rejoined);
+      }
+    } else {
+      EXPECT_EQ(early.trace_hash, full.trace_hash);
+    }
+    ASSERT_EQ(early.violations.size(), full.violations.size()) << e.tx_index;
+    for (std::size_t i = 0; i < full.violations.size(); ++i) {
+      EXPECT_EQ(early.violations[i].monitor, full.violations[i].monitor);
+      EXPECT_EQ(early.violations[i].when, full.violations[i].when);
+      EXPECT_EQ(early.violations[i].detail, full.violations[i].detail);
+    }
+  }
+  EXPECT_GT(rejoins, 0u);
+}
+
+TEST(CheckHarness, ScriptEndIsOnePastTheLastScriptedAttempt) {
+  EXPECT_EQ(check::script_end({}), 0u);
+  FaultScript script = ablation_counterexample();  // tx 32, 35
+  EXPECT_EQ(check::script_end(script), 36u);
+  std::swap(script[0], script[1]);  // order-insensitive
+  EXPECT_EQ(check::script_end(script), 36u);
 }
 
 // --- monitors on known scripts ----------------------------------------------

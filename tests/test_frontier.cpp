@@ -114,10 +114,12 @@ TEST(Frontier, DedupOnAndOffProduceIdenticalVerdicts) {
   cfg.frontier_path = off;
   const ExploreResult plain = check::explore(cfg);
 
-  // The dedup run must actually have skipped something for this test to
-  // mean anything, and every tripwire re-execution must have agreed.
+  // The dedup run must actually have skipped (and rejoined) something
+  // for this test to mean anything, and every tripwire re-execution —
+  // one per skip and one per rejoin — must have agreed.
   EXPECT_GT(deduped.dedup_skips, 0u);
-  EXPECT_EQ(deduped.dedup_verified, deduped.dedup_skips);
+  EXPECT_GT(deduped.rejoined, 0u);
+  EXPECT_EQ(deduped.dedup_verified, deduped.dedup_skips + deduped.rejoined);
   EXPECT_EQ(deduped.dedup_mismatches, 0u);
   // Discounting the tripwire re-executions, dedup saved real runs.
   EXPECT_LT(deduped.runs - deduped.dedup_verified, plain.runs);
@@ -133,6 +135,64 @@ TEST(Frontier, DedupOnAndOffProduceIdenticalVerdicts) {
 
   std::remove(on.c_str());
   std::remove(off.c_str());
+}
+
+// --- rejoin: verdicts inherited from the base trajectory -------------------
+
+// A record-mode space whose records include violations (the
+// detection-latency finding of DESIGN.md's record-mode section): with
+// dedup on, rejoined units must leave the frontier byte-identical to
+// the dedup-off run, and the tripwire must re-run every rejoin to full
+// length without a mismatch.
+TEST(Frontier, RejoinKeepsFrontierByteIdenticalOnAViolatingSpace) {
+  const std::string on = temp_path("frontier_rejoin_on.json");
+  const std::string off = temp_path("frontier_rejoin_off.json");
+  std::remove(on.c_str());
+  std::remove(off.c_str());
+
+  ExploreConfig cfg = smoke_config();
+  cfg.max_victim_sets = 2;
+  cfg.max_bases = 16;
+  cfg.depth2_targets = 8;
+  cfg.checkpoint_every = 4096;  // one final write: compare final bytes
+  cfg.dedup_verify_every = 1;
+  cfg.frontier_path = on;
+  const ExploreResult rejoining = check::explore(cfg);
+
+  cfg.dedup = false;
+  cfg.dedup_verify_every = 0;
+  cfg.frontier_path = off;
+  const ExploreResult plain = check::explore(cfg);
+
+  ASSERT_FALSE(plain.violations.empty());
+  EXPECT_GT(rejoining.rejoined, 0u);
+  EXPECT_EQ(plain.rejoined, 0u);  // --no-dedup disables rejoin
+  EXPECT_EQ(rejoining.dedup_verified,
+            rejoining.dedup_skips + rejoining.rejoined);
+  EXPECT_EQ(rejoining.dedup_mismatches, 0u);
+  EXPECT_EQ(slurp(on), slurp(off));
+
+  std::remove(on.c_str());
+  std::remove(off.c_str());
+}
+
+// Units keep viewing their base's cache slot until their chunk is
+// resolved; a one-slot cache evicts a base with units still pending
+// unless the explorer resolves them first.  Records and rejoins must
+// not depend on the capacity.
+TEST(Frontier, OneSlotPrefixCacheKeepsRejoinsAndRecords) {
+  ExploreConfig cfg = smoke_config();
+  cfg.max_victim_sets = 2;
+  cfg.max_bases = 16;
+  cfg.depth2_targets = 8;
+  const ExploreResult roomy = check::explore(cfg);
+  cfg.prefix_cache_cells = 1;
+  const ExploreResult tiny = check::explore(cfg);
+  EXPECT_GT(roomy.rejoined, 0u);
+  EXPECT_EQ(tiny.rejoined, roomy.rejoined);
+  EXPECT_EQ(tiny.runs, roomy.runs);
+  EXPECT_EQ(tiny.aggregate_hash, roomy.aggregate_hash);
+  EXPECT_EQ(tiny.violations.size(), roomy.violations.size());
 }
 
 // --- prefix cache vs from-scratch oracle ------------------------------------
@@ -158,7 +218,8 @@ TEST(PrefixCache, ReplayMatchesFromScratchOracle) {
   const std::uint64_t key = check::hash_script(base);
   EXPECT_EQ(cache.find(key), nullptr);  // cold: miss
   const check::PrefixProbe* probe =
-      cache.insert(key, oracle.tx_log, oracle.samples);
+      cache.insert(key, oracle.tx_log, oracle.samples, oracle.violations,
+                   check::script_end(base));
   ASSERT_NE(probe, nullptr);
 
   // A second from-scratch run is the oracle the cached replay must match
@@ -173,10 +234,30 @@ TEST(PrefixCache, ReplayMatchesFromScratchOracle) {
     EXPECT_EQ(hit->tx_log[i].receivers, fresh.tx_log[i].receivers);
     EXPECT_EQ(hit->tx_log[i].start, fresh.tx_log[i].start);
   }
-  ASSERT_EQ(hit->samples.size(), fresh.samples.size());
+  const check::RejoinTarget& got = hit->trajectory;
+  ASSERT_EQ(got.samples.size(), fresh.samples.size());
+  bool crashed_seen = false;
   for (std::size_t i = 0; i < fresh.samples.size(); ++i) {
-    EXPECT_EQ(hit->samples[i].tx_index, fresh.samples[i].tx_index);
-    EXPECT_EQ(hit->samples[i].state_hash, fresh.samples[i].state_hash);
+    EXPECT_EQ(got.samples[i].tx_index, fresh.samples[i].tx_index);
+    EXPECT_EQ(got.samples[i].state_hash, fresh.samples[i].state_hash);
+    EXPECT_EQ(got.samples[i].start, fresh.samples[i].start);
+    EXPECT_EQ(got.samples[i].crashed, fresh.samples[i].crashed);
+    // The crash set is the harness's at judge-time: empty up to the
+    // scripted attempt, the crashed sender after it.
+    if (fresh.samples[i].tx_index <= ev.tx) {
+      EXPECT_TRUE(fresh.samples[i].crashed.empty());
+    } else {
+      crashed_seen = crashed_seen || !fresh.samples[i].crashed.empty();
+    }
+  }
+  EXPECT_TRUE(crashed_seen);
+  // The stored verdict and script end are the probe's.
+  EXPECT_EQ(got.script_end, ev.tx + 1);
+  ASSERT_EQ(got.violations.size(), fresh.violations.size());
+  for (std::size_t i = 0; i < fresh.violations.size(); ++i) {
+    EXPECT_EQ(got.violations[i].monitor, fresh.violations[i].monitor);
+    EXPECT_EQ(got.violations[i].when, fresh.violations[i].when);
+    EXPECT_EQ(got.violations[i].detail, fresh.violations[i].detail);
   }
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);

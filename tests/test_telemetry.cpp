@@ -359,5 +359,53 @@ TEST(TelemetryView, ShardStatusRatesAndSummaryFromFixtureFile) {
   EXPECT_NE(text.find("dedup"), std::string::npos);
 }
 
+// `rejoined` was added to canely-telemetry-1 after its first release:
+// lines written before it parse with the counter at 0, and canely_top
+// reports it when present.
+TEST(TelemetryView, RejoinedCounterIsAdditive) {
+  const std::string path = ::testing::TempDir() + "telemetry_rejoin.jsonl";
+  std::remove(path.c_str());
+  ScriptedClock clock{{0, 1'000'000'000}};
+  obs::TelemetryConfig cfg;
+  cfg.path = path;
+  cfg.sample_period_ms = 0;
+  cfg.clock = &clock;
+  {
+    obs::Telemetry tel{std::move(cfg)};
+    tel.add(obs::TelemetryCounter::kUnitsJudged, 200);
+    tel.add(obs::TelemetryCounter::kRejoined, 50);
+    ASSERT_TRUE(tel.sample_now());
+  }
+  std::string line;
+  {
+    std::ifstream in{path};
+    ASSERT_TRUE(std::getline(in, line));
+  }
+  const check::TelemetrySnapshot snap = check::parse_telemetry_line(line);
+  EXPECT_EQ(snap.counter(obs::TelemetryCounter::kRejoined), 50u);
+
+  const check::ShardStatus sh = check::load_shard_status(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(check::summarize({sh}).rejoined, 50u);
+  EXPECT_NE(check::status_json({sh}).dump().find("\"rejoined\":50"),
+            std::string::npos);
+  EXPECT_NE(check::render_status_text({sh}).find("rejoin 25.0%"),
+            std::string::npos);
+
+  const std::string field = "\"rejoined\":50";
+  const std::string::size_type at = line.find(field);
+  ASSERT_NE(at, std::string::npos);
+  std::string old_line = line;
+  // Drop the field and its separating comma (either side).
+  if (at > 0 && old_line[at - 1] == ',') {
+    old_line.erase(at - 1, field.size() + 1);
+  } else {
+    old_line.erase(at, field.size() + 1);
+  }
+  const check::TelemetrySnapshot old = check::parse_telemetry_line(old_line);
+  EXPECT_EQ(old.counter(obs::TelemetryCounter::kRejoined), 0u);
+  EXPECT_EQ(old.counter(obs::TelemetryCounter::kUnitsJudged), 200u);
+}
+
 }  // namespace
 }  // namespace canely::testing

@@ -224,7 +224,27 @@ stage_check() {
     echo "check: merged shard frontier differs from the unsharded run" >&2
     exit 1
   fi
-  echo "check: depth-2 exhaustive smoke ok, shard union byte-identical"
+  # Dedup and rejoin inherit verdicts; --no-dedup simulates every unit to
+  # the end, and its frontier must be byte-identical.
+  # shellcheck disable=SC2086
+  "$dir/bench/check_explorer" $caps --no-dedup --frontier "$fdir/full.json" \
+    --threads 4 >/dev/null
+  if ! cmp -s "$fdir/all.json" "$fdir/full.json"; then
+    echo "check: dedup/rejoin frontier differs from the --no-dedup run" >&2
+    exit 1
+  fi
+  # The tripwire re-runs every skip and every rejoin to full length.
+  local trip
+  # shellcheck disable=SC2086
+  trip="$("$dir/bench/check_explorer" $caps --verify-every 1 --threads 4 |
+    grep 'dedup tripwire')"
+  echo "$trip"
+  case "$trip" in
+    *" 0 mismatches") ;;
+    *) echo "check: dedup/rejoin tripwire mismatch" >&2; exit 1 ;;
+  esac
+  echo "check: depth-2 exhaustive smoke ok, shard union and --no-dedup" \
+    "byte-identical"
 }
 
 stage_shootout() {
@@ -355,7 +375,7 @@ import json, sys
 
 counters = ["runs", "units_judged", "dedup_skips", "units_resumed",
             "prefix_cache_hits", "prefix_cache_misses", "violations",
-            "shrink_steps", "checkpoints"]
+            "shrink_steps", "checkpoints", "rejoined"]
 stages = ["judge", "replay", "hash", "checkpoint_io"]
 total = 0
 for path in sys.argv[1:]:
