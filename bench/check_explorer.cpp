@@ -14,24 +14,29 @@
 // runs one slice of the deterministic unit order; --frontier FILE
 // checkpoints progress for resume-after-kill; --merge OUT IN...
 // combines completed shard frontiers into a file byte-identical to an
-// unsharded run's.
+// unsharded run's.  One engine runs every search: --dedup, --frontier
+// and --stop-after never change what is explored, and the targeted
+// search and random walks refuse --shard (exit 2) rather than explore a
+// different space.
 //
 // Exit codes: 0 = exploration clean (or replay reproduced / merge ok),
 // 1 = violation found (artifact written) or replay mismatch,
-// 2 = usage/IO error.
+// 2 = usage/IO error (a malformed flag value, --nodes outside
+// [2, kMaxNodes], a configuration explore() rejects, an unwritable
+// frontier).
 //
 // Aggregate output is byte-identical for any --threads value (campaign
 // runner determinism); the printed aggregate hash makes that checkable
 // from the shell.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "campaign/cli.hpp"
 #include "check/artifact.hpp"
@@ -61,7 +66,7 @@ void usage(std::ostream& os) {
         "  --random-walks N    extra seeded multi-fault scripts\n"
         "  --quick             small smoke budget\n"
         "  --exhaustive        depth-2 full cross product, dedup on\n"
-        "  --dedup/--no-dedup  equivalence-class dedup (record mode)\n"
+        "  --dedup/--no-dedup  equivalence-class dedup and rejoin\n"
         "  --naive             cost out naive re-run-from-zero (bench)\n"
         "  --shard i/N         run slice i of an N-way unit partition\n"
         "  --frontier FILE     checkpoint/resume frontier file\n"
@@ -110,6 +115,20 @@ bool write_trace(const check::ScenarioConfig& scenario,
   std::cout << "trace written: " << path << " (" << recorder.ring().size()
             << " events, " << recorder.ring().dropped() << " dropped)\n";
   return true;
+}
+
+/// Parse a whole flag value as a number; anything else (junk, trailing
+/// characters, a sign an unsigned flag cannot take, overflow) is a usage
+/// error: exit 2 with the usage text.
+template <typename T>
+void parse_number(const std::string& flag, const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc{} || ptr != end || text.empty()) {
+    std::cerr << flag << " wants a number (got '" << text << "')\n";
+    usage(std::cerr);
+    std::exit(2);
+  }
 }
 
 std::string hex(std::uint64_t v) {
@@ -248,29 +267,30 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto num = [&](auto& out) { parse_number(arg, next(arg.c_str()), out); };
     if (arg == "--threads") {
-      cfg.threads = std::stoul(next("--threads"));
+      num(cfg.threads);
     } else if (arg == "--seed") {
-      cfg.seed = std::stoull(next("--seed"));
+      num(cfg.seed);
     } else if (arg == "--nodes") {
-      nodes = std::stoul(next("--nodes"));
+      num(nodes);
     } else if (arg == "--duration-ms") {
-      duration_ms = std::stol(next("--duration-ms"));
+      num(duration_ms);
     } else if (arg == "--no-fda") {
       fda_on = false;
     } else if (arg == "--depth") {
-      cfg.depth = std::stoi(next("--depth"));
+      num(cfg.depth);
       depth_set = true;
     } else if (arg == "--max-frames") {
-      cfg.max_frames = std::stoul(next("--max-frames"));
+      num(cfg.max_frames);
     } else if (arg == "--max-victim-sets") {
-      cfg.max_victim_sets = std::stoul(next("--max-victim-sets"));
+      num(cfg.max_victim_sets);
     } else if (arg == "--max-bases") {
-      cfg.max_bases = std::stoul(next("--max-bases"));
+      num(cfg.max_bases);
     } else if (arg == "--targets") {
-      cfg.depth2_targets = std::stoul(next("--targets"));
+      num(cfg.depth2_targets);
     } else if (arg == "--random-walks") {
-      cfg.random_walks = std::stoul(next("--random-walks"));
+      num(cfg.random_walks);
     } else if (arg == "--quick") {
       cfg.max_frames = 24;
       cfg.max_victim_sets = 16;
@@ -297,19 +317,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--frontier") {
       cfg.frontier_path = next("--frontier");
     } else if (arg == "--checkpoint") {
-      cfg.checkpoint_every = std::stoul(next("--checkpoint"));
+      num(cfg.checkpoint_every);
     } else if (arg == "--checkpoint-secs") {
-      cfg.checkpoint_secs = std::stod(next("--checkpoint-secs"));
+      num(cfg.checkpoint_secs);
     } else if (arg == "--telemetry") {
       telemetry_path = next("--telemetry");
     } else if (arg == "--telemetry-period") {
-      telemetry_period_ms = std::stoull(next("--telemetry-period"));
+      num(telemetry_period_ms);
     } else if (arg == "--stop-after") {
-      cfg.stop_after_units = std::stoul(next("--stop-after"));
+      num(cfg.stop_after_units);
     } else if (arg == "--cache-cells") {
-      cfg.prefix_cache_cells = std::stoul(next("--cache-cells"));
+      num(cfg.prefix_cache_cells);
     } else if (arg == "--verify-every") {
-      cfg.dedup_verify_every = std::stoul(next("--verify-every"));
+      num(cfg.dedup_verify_every);
     } else if (arg == "--merge") {
       const std::string out = next("--merge");
       std::vector<std::string> inputs;
@@ -338,6 +358,12 @@ int main(int argc, char** argv) {
   }
 
   if (!replay_path.empty()) return replay(replay_path, trace_path);
+  if (nodes < 2 || nodes > can::kMaxNodes) {
+    std::cerr << "--nodes wants 2.." << can::kMaxNodes << " (got " << nodes
+              << ")\n";
+    usage(std::cerr);
+    return 2;
+  }
 
   cfg.scenario = check::ScenarioConfig::membership(nodes, fda_on);
   if (duration_ms > 0) cfg.scenario.duration = sim::Time::ms(duration_ms);
@@ -363,9 +389,6 @@ int main(int argc, char** argv) {
     }
   } final_sample{telemetry_period_ms == 0 ? telemetry.get() : nullptr};
 
-  const bool record_mode = cfg.exhaustive || cfg.dedup ||
-                           cfg.shard_count > 1 || !cfg.frontier_path.empty() ||
-                           cfg.stop_after_units != 0;
   std::cout << "exploring n=" << nodes << " membership scenario, FDA "
             << (fda_on ? "on" : "OFF (ablated)") << ", depth " << cfg.depth
             << (cfg.exhaustive ? " (exhaustive)" : "") << ", threads ";
@@ -379,7 +402,13 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  const check::ExploreResult result = check::explore(cfg);
+  check::ExploreResult result;
+  try {
+    result = check::explore(cfg);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 
   if (result.resumed) {
     std::cout << "resumed from frontier:  " << cfg.frontier_path << "\n";
@@ -388,20 +417,17 @@ int main(int argc, char** argv) {
             << " (targeted " << result.frames_targeted << ")\n"
             << "placements enumerated:  " << result.placements << "\n"
             << "checked runs executed:  " << result.runs << "\n";
-  if (record_mode) {
+  if (cfg.dedup) {
     std::cout << "probe runs:             " << result.probe_runs << " ("
-              << result.prefix_cache_hits << " cache hits)\n";
-    if (cfg.dedup) {
-      std::cout << "equivalence classes:    " << result.dedup_classes << " ("
-                << result.dedup_skips << " units skipped without simulation)"
-                << "\n";
-      std::cout << "rejoined units:         " << result.rejoined
-                << " (stopped on their base trajectory)\n";
-      if (cfg.dedup_verify_every != 0) {
-        std::cout << "dedup tripwire:         " << result.dedup_verified
-                  << " re-executed, " << result.dedup_mismatches
-                  << " mismatches\n";
-      }
+              << result.prefix_cache_hits << " cache hits)\n"
+              << "equivalence classes:    " << result.dedup_classes << " ("
+              << result.dedup_skips << " units skipped without simulation)\n"
+              << "rejoined units:         " << result.rejoined
+              << " (stopped on their base trajectory)\n";
+    if (cfg.dedup_verify_every != 0) {
+      std::cout << "dedup tripwire:         " << result.dedup_verified
+                << " re-executed, " << result.dedup_mismatches
+                << " mismatches\n";
     }
   }
   std::cout << "violations found:       " << result.violations.size() << "\n"

@@ -1,9 +1,13 @@
 #include "check/explore.hpp"
 
 #include <algorithm>
+#include <array>
 #include <exception>
+#include <functional>
 #include <map>
+#include <set>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -18,12 +22,11 @@
 namespace canely::check {
 namespace {
 
-/// Per-run outcome, reduced to what the aggregate needs.  Default-
+/// Per-run outcome, reduced to what a record needs.  Default-
 /// constructible placeholder for the campaign runner's result slots.
 struct Cell {
-  std::uint64_t trace_hash{0};
   bool violated{false};
-  bool rejoined{false};  ///< stopped on its base trajectory (record mode)
+  bool rejoined{false};  ///< stopped on its base trajectory
   Violation first;
 };
 
@@ -33,25 +36,12 @@ Cell run_cell(const ScenarioConfig& scenario, const FaultScript& script,
   opts.rejoin = rejoin;
   RunResult r = run_checked(scenario, script, opts);
   Cell c;
-  c.trace_hash = r.trace_hash;
   c.rejoined = r.rejoined;
   if (!r.violations.empty()) {
     c.violated = true;
     c.first = r.violations.front();
   }
   return c;
-}
-
-std::uint64_t hash_cell(std::uint64_t h, const Cell& c) {
-  h = fnv1a(h, c.trace_hash);
-  h = fnv1a(h, c.violated ? 1 : 0);
-  if (c.violated) {
-    for (char ch : c.first.monitor) {
-      h = fnv1a(h, static_cast<std::uint8_t>(ch));
-    }
-    h = fnv1a(h, static_cast<std::uint64_t>(c.first.when.to_ns()));
-  }
-  return h;
 }
 
 /// The ascending list of member ids of `set` (mask bit i of a victim-
@@ -71,89 +61,36 @@ can::NodeSet subset_from_mask(const std::vector<can::NodeId>& pool,
   return set;
 }
 
-/// Enumerate depth-1 placements for one attempt: every non-empty victim
-/// subset (capped; the overflow is counted into `dropped`), with and
-/// without a sender crash.
-void placements_for(const TxLogEntry& entry, std::size_t max_victim_sets,
-                    std::vector<FaultScript>& out, std::size_t& dropped) {
+/// Hand `emit` one omission of `entry` per non-empty victim subset of its
+/// receivers, in mask order (capped at `max_sets`, the overflow counted
+/// into `dropped`), once per sender-crash flag in `crashes`.
+template <typename Emit>
+void for_each_omission(const TxLogEntry& entry, std::size_t max_sets,
+                       std::span<const bool> crashes, std::size_t& dropped,
+                       Emit&& emit) {
   const std::vector<can::NodeId> pool = members(entry.receivers);
-  if (pool.empty()) return;
   const std::uint64_t subsets = (1ULL << pool.size()) - 1;
-  std::uint64_t used = 0;
   for (std::uint64_t mask = 1; mask <= subsets; ++mask) {
-    if (max_victim_sets != 0 && used >= max_victim_sets) {
+    if (max_sets != 0 && mask > max_sets) {
       dropped += static_cast<std::size_t>(subsets - mask + 1);
-      break;
+      return;
     }
-    ++used;
-    for (const bool crash : {false, true}) {
-      FaultEvent ev;
-      ev.tx = entry.tx_index;
-      ev.op = FaultOp::kOmit;
-      ev.victims = subset_from_mask(pool, mask);
-      ev.crash_sender = crash;
-      out.push_back(FaultScript{ev});
+    for (const bool crash : crashes) {
+      emit(FaultEvent{entry.tx_index, FaultOp::kOmit,
+                      subset_from_mask(pool, mask), crash});
     }
   }
 }
 
-/// Execute `scripts` through the campaign runner (index-slotted results:
-/// aggregate order is enumeration order for any thread count).  With
-/// `naive_rerun` every worker first re-simulates every proper prefix of
-/// its script from t=0 (tx log only, result discarded) — the probes a
-/// stateless re-run-from-zero explorer pays to locate each fault's
-/// target attempt before it can run the placement itself.  A non-empty
-/// `rejoin` gives script i the base trajectory rejoin[i].
-std::vector<Cell> run_batch(const ScenarioConfig& scenario,
-                            const std::vector<FaultScript>& scripts,
-                            std::size_t threads, std::uint64_t seed,
-                            bool naive_rerun = false,
-                            obs::Telemetry* telemetry = nullptr,
-                            std::span<const RejoinTarget> rejoin = {}) {
-  campaign::Grid grid;
-  std::vector<double> axis(scripts.size());
-  for (std::size_t i = 0; i < axis.size(); ++i) {
-    axis[i] = static_cast<double>(i);
-  }
-  grid.axis("placement", std::move(axis)).repeats(1).master_seed(seed);
-  campaign::Runner runner{threads == 0 ? 0 : threads};
-  runner.set_observer(telemetry);  // counts runs + judge durations; null ok
-  auto outcome = runner.run<Cell>(grid, [&](const campaign::RunSpec& spec) {
-    if (naive_rerun) {
-      FaultScript prefix;
-      RunOptions opts;
-      opts.want_tx_log = true;
-      for (const FaultEvent& ev : scripts[spec.index]) {
-        (void)run_checked(scenario, prefix, opts);
-        prefix.push_back(ev);
-      }
-    }
-    return run_cell(scenario, scripts[spec.index],
-                    rejoin.empty() ? nullptr : &rejoin[spec.index]);
-  });
-  return std::move(outcome.results);
-}
+constexpr std::array<bool, 2> kBothCrashFlags{false, true};
+/// The inconsistent-message-omission arm only: the sender crashes.
+constexpr std::array<bool, 1> kCrashOnly{true};
 
-void fold_batch(const std::vector<FaultScript>& scripts,
-                const std::vector<Cell>& cells, std::size_t index_base,
-                ExploreResult& result,
-                obs::Telemetry* telemetry = nullptr) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    result.aggregate_hash = hash_cell(result.aggregate_hash, cells[i]);
-    if (cells[i].violated) {
-      result.violations.push_back(
-          FoundViolation{index_base + i, scripts[i], cells[i].first});
-      obs::telemetry_add(telemetry, obs::TelemetryCounter::kViolations);
-    }
-  }
-  obs::telemetry_add(telemetry, obs::TelemetryCounter::kUnitsJudged,
-                     cells.size());
-  result.placements += cells.size();
-  result.runs += cells.size();
-}
+constexpr auto kEls = static_cast<std::uint8_t>(MsgType::kEls);
+constexpr auto kFda = static_cast<std::uint8_t>(MsgType::kFda);
 
 FaultScript random_script(sim::Rng& rng,
-                          const std::vector<TxLogEntry>& window) {
+                          std::span<const TxLogEntry> window) {
   FaultScript script;
   const std::size_t n_events = 1 + rng.below(3);
   for (std::size_t e = 0; e < n_events; ++e) {
@@ -179,19 +116,10 @@ FaultScript random_script(sim::Rng& rng,
   return script;
 }
 
-sim::Time window_end_for(const ExploreConfig& cfg) {
-  return cfg.fault_window > sim::Time::zero()
-             ? cfg.fault_window
-             : cfg.scenario.duration - cfg.scenario.expel_grace() -
-                   cfg.scenario.settle;
-}
-
-// ----------------------------------------------------------- record mode
-
 /// Judge-time state hash of the attempt `tx`, from a probe's samples
-/// (sorted by tx order).  Targets are selected to start inside the
-/// sampling window, so the sample exists; a sentinel keeps a missing one
-/// deterministic anyway.
+/// (sorted by tx order).  Probes sample every attempt their units target,
+/// so the sample exists; a sentinel keeps a missing one deterministic
+/// anyway.
 std::uint64_t sample_state(std::span<const StateSample> samples,
                            std::uint64_t tx) {
   const auto it = std::lower_bound(
@@ -219,7 +147,8 @@ std::uint64_t unit_key(std::uint64_t state, const FaultEvent& last) {
 /// One enumerated unit: shard-computable coordinates, class key, the
 /// full fault script that executes it, and the probe of its base (the
 /// trajectory it may rejoin; a prefix cache slot, which stays cached
-/// while the unit is pending).
+/// while the unit is pending).  Random walks have no base: they are
+/// always simulated, to the end.
 struct Unit {
   std::uint64_t u{};
   std::uint64_t j{};
@@ -233,21 +162,26 @@ struct ClassOutcome {
   Violation first;
 };
 
-/// The exploration-at-scale engine (see explore.hpp header comment).
-/// Units stream through in (u, j) order; chunks of `checkpoint_every` are
-/// keyed sequentially, executed in parallel (class representatives only
-/// when dedup is on), materialized into frontier records, and
-/// checkpointed.
+/// The exploration engine (see explore.hpp header comment).  Unit sources
+/// push units in (u, j) order; chunks of them are keyed sequentially,
+/// executed in parallel (class representatives only when dedup is on),
+/// and settled into the aggregate in unit order — and into frontier
+/// records, checkpointed, when a frontier file is kept.
 class RecordExplorer {
  public:
   explicit RecordExplorer(const ExploreConfig& cfg)
       : cfg_{cfg},
         tel_{cfg.telemetry},
         dedup_{cfg.dedup && !cfg.naive_rerun},
+        keep_records_{!cfg.frontier_path.empty()},
+        targeted_{cfg.depth >= 2 && !cfg.exhaustive},
         shard_count_{cfg.shard_count == 0 ? 1 : cfg.shard_count},
-        window_end_{window_end_for(cfg)},
+        window_end_{cfg.fault_window > sim::Time::zero()
+                        ? cfg.fault_window
+                        : cfg.scenario.duration - cfg.scenario.expel_grace() -
+                              cfg.scenario.settle},
         cache_{cfg.prefix_cache_cells} {
-    if (cfg_.checkpoint_secs > 0 && !cfg_.frontier_path.empty()) {
+    if (cfg_.checkpoint_secs > 0 && keep_records_) {
       checkpoint_period_ns_ = static_cast<std::uint64_t>(
           cfg_.checkpoint_secs * 1'000'000'000.0);
       last_checkpoint_ns_ = wall_ns();
@@ -258,82 +192,73 @@ class RecordExplorer {
     fingerprint_ = fingerprint();
     resume();
 
-    // Fault-free probe: the attempt timeline every enumeration starts
-    // from (and the depth-1 prefix).
-    const PrefixProbe* base0 = probe(FaultScript{});
-    std::vector<TxLogEntry> window;
+    // Fault-free probe: the attempt timeline every source enumerates
+    // from.  Only the depth-1 sweep keys (and rejoins) on its samples.
+    std::function<bool(const TxLogEntry&)> in_window;
+    if (cfg_.depth <= 1) {
+      in_window = [this](const TxLogEntry& e) { return e.start < window_end_; };
+    }
+    const PrefixProbe* base0 = probe(FaultScript{}, in_window);
+    std::vector<TxLogEntry> window;  // walks draw from all of it
     for (const TxLogEntry& e : base0->tx_log) {
-      if (e.start < window_end_ && !e.receivers.empty()) {
-        window.push_back(e);
-      }
+      if (e.start < window_end_ && !e.receivers.empty()) window.push_back(e);
     }
     result_.frames_in_window = window.size();
+    std::span<const TxLogEntry> targeted{window};
     if (cfg_.max_frames != 0 && window.size() > cfg_.max_frames) {
       result_.dropped_frames = window.size() - cfg_.max_frames;
-      window.resize(cfg_.max_frames);
+      targeted = targeted.first(cfg_.max_frames);
       result_.partial = true;
     }
-    result_.frames_targeted = window.size();
+    result_.frames_targeted = targeted.size();
 
-    // The depth-1 placement enumeration doubles as the depth-2 base list.
-    std::vector<FaultScript> placements;
-    for (const TxLogEntry& entry : window) {
-      placements_for(entry, cfg_.max_victim_sets, placements,
-                     result_.dropped_victim_sets);
+    // The depth-1 placement enumeration doubles as the exhaustive
+    // depth-2 base list; the targeted search picks its own bases.
+    std::vector<FaultScript> bases =
+        targeted_ ? targeted_bases(targeted) : placements(targeted);
+
+    if (cfg_.depth >= 2 && cfg_.max_bases != 0 &&
+        bases.size() > cfg_.max_bases) {
+      result_.dropped_bases = bases.size() - cfg_.max_bases;
+      bases.resize(cfg_.max_bases);
+      result_.partial = true;
     }
-
-    if (cfg_.depth <= 1) {
+    std::uint64_t mine = 0;
+    for (std::uint64_t u = 0; u < bases.size(); ++u) {
+      if (u % shard_count_ == cfg_.shard_index) ++mine;
+    }
+    std::uint64_t done = 0;
+    for (std::uint64_t u = 0; u < bases.size() && !stopped_; ++u) {
+      if (u % shard_count_ != cfg_.shard_index) continue;
+      const std::size_t found = result_.violations.size();
+      if (cfg_.depth <= 1) {
+        const FaultEvent& ev = bases[u].front();
+        const std::uint64_t state =
+            sample_state(base0->trajectory.samples, ev.tx);
+        push_unit(Unit{u, 0, unit_key(state, ev), bases[u], base0});
+      } else {
+        process_base(u, bases[u]);
+      }
+      // ETA hint: exact at depth 1 (one unit per owned placement); depth
+      // 2 reveals its space base by base, so extrapolate the average.
       if (tel_ != nullptr) {
-        // Depth 1 knows its unit count exactly: one unit per owned
-        // placement.
-        std::uint64_t mine = 0;
-        for (std::uint64_t u = 0; u < placements.size(); ++u) {
-          if (u % shard_count_ == cfg_.shard_index) ++mine;
-        }
-        tel_->set_total_units(mine);
+        tel_->set_total_units(enumerated_ * mine / ++done + cfg_.random_walks);
       }
-      for (std::uint64_t u = 0; u < placements.size() && !stopped_; ++u) {
-        if (u % shard_count_ != cfg_.shard_index) continue;
-        const FaultEvent& ev = placements[u].front();
-        Unit unit;
-        unit.u = u;
-        unit.j = 0;
-        unit.key = unit_key(sample_state(base0->trajectory.samples, ev.tx), ev);
-        unit.script = placements[u];
-        unit.base = base0;
-        push_unit(std::move(unit));
-      }
-    } else {
-      if (cfg_.max_bases != 0 && placements.size() > cfg_.max_bases) {
-        result_.dropped_bases = placements.size() - cfg_.max_bases;
-        placements.resize(cfg_.max_bases);
-        result_.partial = true;
-      }
-      std::uint64_t my_bases = 0;
-      for (std::uint64_t u = 0; u < placements.size(); ++u) {
-        if (u % shard_count_ == cfg_.shard_index) ++my_bases;
-      }
-      std::uint64_t done_bases = 0;
-      for (std::uint64_t u = 0; u < placements.size() && !stopped_; ++u) {
-        if (u % shard_count_ != cfg_.shard_index) continue;
-        process_base(u, placements[u]);
-        ++done_bases;
-        if (tel_ != nullptr && done_bases != 0) {
-          // Depth 2 reveals its unit space base by base; extrapolate the
-          // ETA hint from the per-base average so far.
-          tel_->set_total_units(enumerated_ * my_bases / done_bases);
-        }
+      if (targeted_) {
+        // Early stop: the first base whose units violate ends the
+        // search (the lowest base, for any thread count).
+        flush();
+        if (result_.violations.size() > found) break;
       }
     }
+    walk(window, bases.size());
     if (result_.dropped_victim_sets != 0) result_.partial = true;
 
     flush();
-    if (!cfg_.frontier_path.empty()) {
-      write_checkpoint(/*complete=*/!stopped_);
-    }
+    if (keep_records_) write_checkpoint(/*complete=*/!stopped_);
 
-    result_.placements = records_.size();
-    result_.aggregate_hash = fold_records(records_);
+    result_.placements = settled_;
+    result_.aggregate_hash = aggregate_;
     result_.dedup_classes = classes_.size();
     result_.prefix_cache_hits = cache_.stats().hits;
     return std::move(result_);
@@ -362,11 +287,17 @@ class RecordExplorer {
     h = fnv1a(h, cfg_.max_victim_sets);
     h = fnv1a(h, cfg_.max_bases);
     h = fnv1a(h, cfg_.depth2_targets);
+    if (cfg_.random_walks != 0) {  // walk-free fingerprints stay as they were
+      h = fnv1a(h, cfg_.random_walks);
+      h = fnv1a(h, cfg_.seed);
+    }
     return h;
   }
 
+  /// Load the records of an earlier run of this exploration; push_unit
+  /// settles them again, in order, instead of re-running their units.
   void resume() {
-    if (cfg_.frontier_path.empty()) return;
+    if (!keep_records_) return;
     FrontierFile prior;
     try {
       prior = load_frontier(cfg_.frontier_path);
@@ -379,26 +310,50 @@ class RecordExplorer {
       return;  // different exploration: start fresh, overwrite on write
     }
     records_ = std::move(prior.records);
-    resume_cursor_ = prior.cursor;
+    resume_cursor_ = records_.size();
     result_.resumed = true;
     obs::telemetry_add(tel_, obs::TelemetryCounter::kUnitsResumed,
                        records_.size());
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      const FrontierRecord& rec = records_[i];
-      if (dedup_ && classes_.find(rec.key) == classes_.end()) {
-        classes_.emplace(rec.key, ClassOutcome{rec.violated, rec.violation});
-      }
-      if (rec.violated) {
-        result_.violations.push_back(
-            FoundViolation{i, rec.script, rec.violation});
-      }
-    }
   }
 
-  /// Probe run for a prefix script, via the LRU cache.  The returned view
-  /// stays valid until the next probe of a *different* prefix at cache
-  /// capacity — callers consume it before probing anything else.
-  const PrefixProbe* probe(const FaultScript& prefix) {
+  /// Depth-1 placements over the targeted attempts: every victim subset,
+  /// with and without a sender crash.
+  std::vector<FaultScript> placements(std::span<const TxLogEntry> targeted) {
+    std::vector<FaultScript> out;
+    for (const TxLogEntry& entry : targeted) {
+      for_each_omission(entry, cfg_.max_victim_sets, kBothCrashFlags,
+                        result_.dropped_victim_sets,
+                        [&](const FaultEvent& ev) { out.push_back({ev}); });
+    }
+    return out;
+  }
+
+  /// The targeted search's bases: singleton-victim omissions with a
+  /// sender crash, life-sign attempts first (an omitted ELS skews the
+  /// victim's surveillance timer a whole Th early, the precondition of
+  /// the inconsistent-message-omission counterexample), then the rest;
+  /// attempt ascending, victim ascending within each group.
+  static std::vector<FaultScript> targeted_bases(
+      std::span<const TxLogEntry> targeted) {
+    std::vector<FaultScript> out;
+    for (const bool els_pass : {true, false}) {
+      for (const TxLogEntry& entry : targeted) {
+        if ((entry.msg_type == kEls) != els_pass) continue;
+        for (can::NodeId victim : entry.receivers) {
+          out.push_back({FaultEvent{entry.tx_index, FaultOp::kOmit,
+                                    can::NodeSet{victim}, true}});
+        }
+      }
+    }
+    return out;
+  }
+
+  /// Probe run for a prefix script, via the LRU cache, sampling the
+  /// attempts `sample_at` picks.  The returned view stays valid until the
+  /// next probe of a *different* prefix at cache capacity — callers
+  /// consume it before probing anything else.
+  const PrefixProbe* probe(const FaultScript& prefix,
+                           std::function<bool(const TxLogEntry&)> sample_at) {
     const std::uint64_t key = hash_script(prefix);
     if (const PrefixProbe* hit = cache_.find(key)) {
       obs::telemetry_add(tel_, obs::TelemetryCounter::kPrefixHits);
@@ -417,8 +372,7 @@ class RecordExplorer {
     }
     RunOptions opts;
     opts.want_tx_log = true;
-    opts.want_samples = true;
-    opts.sample_until = window_end_;
+    opts.sample_at = std::move(sample_at);
     const obs::StageTimer timer{tel_, obs::TelemetryStage::kReplay};
     const RunResult r = run_checked(cfg_.scenario, prefix, opts);
     ++result_.runs;
@@ -427,63 +381,78 @@ class RecordExplorer {
                          script_end(prefix));
   }
 
-  /// Enumerate and push every second-fault unit of one base, in
-  /// (target, victim mask, crash) order.
+  /// Probe one depth-2 base and push its second-fault units in (target,
+  /// victim mask, crash) order.  Targets are the post-base attempts with
+  /// receivers — in the fault window (exhaustive), or the FDA
+  /// failure-signs the base's crash provokes (targeted; crash-only
+  /// seconds) — up to depth2_targets.  The probe samples exactly those,
+  /// plus, with dedup, every post-script in-window attempt a unit may
+  /// rejoin at.
   void process_base(std::uint64_t u, const FaultScript& base) {
-    const PrefixProbe* p = probe(base);
     const std::uint64_t base_tx = base.back().tx;
-    std::vector<TxLogEntry> targets;
+    const std::size_t cap = cfg_.depth2_targets;
+    const auto candidate = [&](const TxLogEntry& e) {
+      return e.tx_index > base_tx && !e.receivers.empty() &&
+             (targeted_ ? e.msg_type == kFda : e.start < window_end_);
+    };
+    std::size_t seen = 0;
+    const PrefixProbe* p = probe(base, [&](const TxLogEntry& e) {
+      const bool target = candidate(e) && (cap == 0 || seen++ < cap);
+      return target ||
+             (dedup_ && e.tx_index > base_tx && e.start < window_end_);
+    });
+    std::vector<const TxLogEntry*> targets;
     for (const TxLogEntry& e : p->tx_log) {
-      if (e.tx_index <= base_tx || e.start >= window_end_ ||
-          e.receivers.empty()) {
-        continue;
-      }
-      if (cfg_.depth2_targets != 0 &&
-          targets.size() >= cfg_.depth2_targets) {
+      if (!candidate(e)) continue;
+      if (cap != 0 && targets.size() >= cap) {
         ++result_.dropped_targets;
         result_.partial = true;
         continue;
       }
-      targets.push_back(e);
+      targets.push_back(&e);
     }
     std::uint64_t j = 0;
-    for (const TxLogEntry& target : targets) {
+    for (const TxLogEntry* target : targets) {
       if (stopped_) return;
       const std::uint64_t state =
-          sample_state(p->trajectory.samples, target.tx_index);
-      const std::vector<can::NodeId> pool = members(target.receivers);
-      const std::uint64_t subsets = (1ULL << pool.size()) - 1;
-      std::uint64_t used = 0;
-      for (std::uint64_t mask = 1; mask <= subsets && !stopped_; ++mask) {
-        if (cfg_.max_victim_sets != 0 && used >= cfg_.max_victim_sets) {
-          result_.dropped_victim_sets +=
-              static_cast<std::size_t>(subsets - mask + 1);
-          result_.partial = true;
-          break;
-        }
-        ++used;
-        for (const bool crash : {false, true}) {
-          FaultEvent second;
-          second.tx = target.tx_index;
-          second.op = FaultOp::kOmit;
-          second.victims = subset_from_mask(pool, mask);
-          second.crash_sender = crash;
-          Unit unit;
-          unit.u = u;
-          unit.j = j++;
-          unit.key = unit_key(state, second);
-          unit.script = base;
-          unit.script.push_back(second);
-          unit.base = p;
-          push_unit(std::move(unit));
-        }
-      }
+          sample_state(p->trajectory.samples, target->tx_index);
+      for_each_omission(
+          *target, cfg_.max_victim_sets,
+          targeted_ ? std::span<const bool>{kCrashOnly}
+                    : std::span<const bool>{kBothCrashFlags},
+          result_.dropped_victim_sets, [&](const FaultEvent& second) {
+            FaultScript script = base;
+            script.push_back(second);
+            push_unit(Unit{u, j++, unit_key(state, second), std::move(script),
+                           p});
+          });
+    }
+  }
+
+  /// Seeded random walks after the enumerated space: walk w is unit
+  /// (u0 + w, 0), drawn from fork_seed(seed, units before it + w) so it
+  /// reproduces in isolation, keyed by its script's hash.  A walk has no
+  /// base probe: it never shares a state-keyed class and never rejoins.
+  void walk(std::span<const TxLogEntry> window, std::uint64_t u0) {
+    if (window.empty()) return;
+    const std::uint64_t before = enumerated_;
+    for (std::uint64_t w = 0; w < cfg_.random_walks && !stopped_; ++w) {
+      sim::Rng rng{campaign::fork_seed(cfg_.seed, before + w)};
+      FaultScript script = random_script(rng, window);
+      const std::uint64_t key = hash_script(script);
+      push_unit(Unit{u0 + w, 0, key, std::move(script), nullptr});
     }
   }
 
   void push_unit(Unit unit) {
+    if (stopped_) return;
     if (enumerated_ < resume_cursor_) {
-      ++enumerated_;  // already in the resumed records
+      // Settled by the resumed run: replay its record.
+      const FrontierRecord& rec = records_[enumerated_++];
+      if (dedup_ && unit.base != nullptr) {
+        classes_.emplace(rec.key, ClassOutcome{rec.violated, rec.violation});
+      }
+      settle(rec);
       return;
     }
     ++enumerated_;
@@ -497,7 +466,7 @@ class RecordExplorer {
     // frontier file, no stop hook) nothing caps the chunk, so take big
     // batches for parallel efficiency — record content is chunk-size
     // invariant (keying is sequential in unit order either way).
-    if (cfg_.frontier_path.empty() && cfg_.stop_after_units == 0) return 1024;
+    if (!keep_records_ && cfg_.stop_after_units == 0) return 1024;
     const std::size_t every =
         cfg_.checkpoint_every == 0 ? 16 : cfg_.checkpoint_every;
     if (checkpoint_period_ns_ != 0) {
@@ -511,72 +480,86 @@ class RecordExplorer {
     return every;
   }
 
+  /// Execute `units` through the campaign runner (index-slotted results:
+  /// settle order is unit order for any thread count).  With
+  /// `naive_rerun` every worker first re-simulates every proper prefix of
+  /// its script from t=0 (tx log only, result discarded) — the probes a
+  /// stateless re-run-from-zero explorer pays to locate each fault's
+  /// target attempt before it can run the placement itself.  With dedup
+  /// on, a unit with a base may stop where it rejoins the base's
+  /// trajectory (RejoinTarget) — dedup's soundness argument.
+  std::vector<Cell> run_units(const std::vector<const Unit*>& units) {
+    campaign::Grid grid;
+    std::vector<double> axis(units.size());
+    for (std::size_t i = 0; i < axis.size(); ++i) {
+      axis[i] = static_cast<double>(i);
+    }
+    grid.axis("placement", std::move(axis)).repeats(1).master_seed(cfg_.seed);
+    campaign::Runner runner{cfg_.threads};
+    runner.set_observer(tel_);  // counts runs + judge durations; null ok
+    auto outcome = runner.run<Cell>(grid, [&](const campaign::RunSpec& spec) {
+      const Unit& unit = *units[spec.index];
+      if (cfg_.naive_rerun) {
+        FaultScript prefix;
+        RunOptions opts;
+        opts.want_tx_log = true;
+        for (const FaultEvent& ev : unit.script) {
+          (void)run_checked(cfg_.scenario, prefix, opts);
+          prefix.push_back(ev);
+        }
+      }
+      const bool rejoin = dedup_ && unit.base != nullptr;
+      return run_cell(cfg_.scenario, unit.script,
+                      rejoin ? &unit.base->trajectory : nullptr);
+    });
+    return std::move(outcome.results);
+  }
+
   /// Resolve one chunk: sequential keying picks the units to simulate
-  /// (all of them with dedup off; the first of each unseen class with
-  /// dedup on), a parallel batch executes them, and the records
-  /// materialize in unit order — dups inherit their representative's
+  /// (all of them with dedup off; with dedup on, walks and the first unit
+  /// of each unseen class), a parallel batch executes them, and the
+  /// records settle in unit order — dups inherit their representative's
   /// verdict, which the determinism of the harness makes *the* verdict.
   void flush() {
     if (pending_.empty()) return;
-    std::vector<std::size_t> to_run;
-    std::map<std::uint64_t, std::size_t> claimed;
+    constexpr std::size_t kSkipped = ~std::size_t{0};
+    std::vector<const Unit*> to_run;
+    std::vector<std::size_t> cell_of(pending_.size(), kSkipped);
     {
       const obs::StageTimer timer{tel_, obs::TelemetryStage::kHash};
+      std::set<std::uint64_t> claimed;
       for (std::size_t i = 0; i < pending_.size(); ++i) {
         const Unit& unit = pending_[i];
-        if (!dedup_) {
-          to_run.push_back(i);
+        if (dedup_ && unit.base != nullptr &&
+            (classes_.find(unit.key) != classes_.end() ||
+             !claimed.insert(unit.key).second)) {
           continue;
         }
-        if (classes_.find(unit.key) != classes_.end() ||
-            claimed.find(unit.key) != claimed.end()) {
-          continue;
-        }
-        claimed.emplace(unit.key, i);
-        to_run.push_back(i);
+        cell_of[i] = to_run.size();
+        to_run.push_back(&unit);
       }
     }
 
-    // With dedup on, each simulated unit may also stop where it rejoins
-    // its base trajectory (RejoinTarget) — the same soundness argument.
-    std::vector<FaultScript> scripts;
-    std::vector<RejoinTarget> rejoin;
-    scripts.reserve(to_run.size());
-    for (const std::size_t idx : to_run) {
-      scripts.push_back(pending_[idx].script);
-      if (dedup_) rejoin.push_back(pending_[idx].base->trajectory);
-    }
-    const std::vector<Cell> cells =
-        run_batch(cfg_.scenario, scripts, cfg_.threads, cfg_.seed,
-                  cfg_.naive_rerun, tel_, rejoin);
+    const std::vector<Cell> cells = run_units(to_run);
     result_.runs += cells.size();
     obs::telemetry_add(tel_, obs::TelemetryCounter::kUnitsJudged,
                        cells.size());
     if (cfg_.naive_rerun) {
-      for (const FaultScript& s : scripts) {
-        result_.runs += s.size();  // one probe per proper prefix
-        result_.probe_runs += s.size();
-      }
-    }
-
-    std::map<std::size_t, std::size_t> cell_of;
-    for (std::size_t k = 0; k < to_run.size(); ++k) {
-      cell_of.emplace(to_run[k], k);
-      if (dedup_) {
-        const Unit& unit = pending_[to_run[k]];
-        classes_.emplace(unit.key,
-                         ClassOutcome{cells[k].violated, cells[k].first});
+      for (const Unit* unit : to_run) {
+        result_.runs += unit->script.size();  // one probe per proper prefix
+        result_.probe_runs += unit->script.size();
       }
     }
 
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       const Unit& unit = pending_[i];
       ClassOutcome outcome;
-      const auto cit = cell_of.find(i);
-      if (cit != cell_of.end()) {
-        const Cell& cell = cells[cit->second];
+      if (cell_of[i] != kSkipped) {
+        // A class representative precedes its skips in the chunk.
+        const Cell& cell = cells[cell_of[i]];
         outcome.violated = cell.violated;
         outcome.first = cell.first;
+        if (dedup_ && unit.base != nullptr) classes_.emplace(unit.key, outcome);
         if (cell.rejoined) {
           ++result_.rejoined;
           obs::telemetry_add(tel_, obs::TelemetryCounter::kRejoined);
@@ -596,22 +579,28 @@ class RecordExplorer {
       if (outcome.violated) {
         rec.violation = outcome.first;
         rec.script = unit.script;
-        result_.violations.push_back(
-            FoundViolation{records_.size(), unit.script, outcome.first});
         obs::telemetry_add(tel_, obs::TelemetryCounter::kViolations);
       }
-      records_.push_back(std::move(rec));
+      settle(rec);
+      if (keep_records_) records_.push_back(std::move(rec));
     }
     units_since_checkpoint_ += pending_.size();
     pending_.clear();
 
-    if (cfg_.stop_after_units != 0 &&
-        records_.size() >= cfg_.stop_after_units) {
+    if (cfg_.stop_after_units != 0 && settled_ >= cfg_.stop_after_units) {
       stopped_ = true;
     }
-    if (!cfg_.frontier_path.empty() && checkpoint_due()) {
-      write_checkpoint(/*complete=*/false);
+    if (keep_records_ && checkpoint_due()) write_checkpoint(/*complete=*/false);
+  }
+
+  /// Fold one record into the aggregate and the result, in unit order.
+  void settle(const FrontierRecord& rec) {
+    aggregate_ = fold_record(aggregate_, rec);
+    if (rec.violated) {
+      result_.violations.push_back(
+          FoundViolation{settled_, rec.script, rec.violation});
     }
+    ++settled_;
   }
 
   /// Mid-run checkpoint policy.  Without a time trigger every flush
@@ -675,13 +664,15 @@ class RecordExplorer {
     f.complete = complete;
     f.partial = result_.partial;
     f.records = records_;
-    f.aggregate = fold_records(records_);
+    f.aggregate = aggregate_;
     return f;
   }
 
   const ExploreConfig& cfg_;
   obs::Telemetry* tel_;
   const bool dedup_;
+  const bool keep_records_;  ///< a frontier file is written
+  const bool targeted_;      ///< depth 2, early stop
   std::size_t shard_count_;
   sim::Time window_end_;
   PrefixCache cache_;
@@ -692,159 +683,30 @@ class RecordExplorer {
   std::uint64_t fingerprint_{};
   std::uint64_t resume_cursor_{0};
   std::uint64_t enumerated_{0};
+  std::uint64_t settled_{0};
+  std::uint64_t aggregate_{kFnvOffset};
   std::uint64_t skip_verify_tick_{0};
   std::uint64_t rejoin_verify_tick_{0};
   bool stopped_{false};
   std::vector<Unit> pending_;
-  std::vector<FrontierRecord> records_;
+  std::vector<FrontierRecord> records_;  ///< only when keep_records_
   std::map<std::uint64_t, ClassOutcome> classes_;
 };
 
 }  // namespace
 
 ExploreResult explore(const ExploreConfig& cfg) {
-  // Record mode: the scale engine owns dedup, sharding, frontiers, and
-  // depth-2 exhaustive.  Everything else stays on the legacy paths,
-  // byte-exactly.
-  if (cfg.exhaustive || cfg.dedup || cfg.shard_count > 1 ||
-      !cfg.frontier_path.empty() || cfg.stop_after_units != 0 ||
-      cfg.naive_rerun) {
-    return RecordExplorer{cfg}.run();
+  if (cfg.shard_count > 1 && cfg.depth >= 2 && !cfg.exhaustive) {
+    throw std::invalid_argument(
+        "explore: the targeted depth-2 search stops at its first violating "
+        "base, so its unit space depends on verdicts and cannot be sharded");
   }
-
-  ExploreResult result;
-  result.aggregate_hash = kFnvOffset;
-
-  // Probe: map the fault-free attempt timeline.
-  obs::telemetry_add(cfg.telemetry, obs::TelemetryCounter::kRuns);
-  const RunResult probe = run_checked(cfg.scenario, {}, /*want_tx_log=*/true);
-  ++result.runs;
-
-  const sim::Time window_end = window_end_for(cfg);
-  std::vector<TxLogEntry> window;
-  for (const TxLogEntry& e : probe.tx_log) {
-    if (e.start < window_end && !e.receivers.empty()) window.push_back(e);
+  if (cfg.shard_count > 1 && cfg.random_walks != 0) {
+    throw std::invalid_argument(
+        "explore: random walks are seeded by the count of units before "
+        "them, which one shard does not know; run walks unsharded");
   }
-  result.frames_in_window = window.size();
-
-  std::vector<TxLogEntry> targeted = window;
-  if (cfg.max_frames != 0 && targeted.size() > cfg.max_frames) {
-    result.dropped_frames = targeted.size() - cfg.max_frames;
-    targeted.resize(cfg.max_frames);
-    result.partial = true;
-  }
-  result.frames_targeted = targeted.size();
-
-  if (cfg.depth <= 1) {
-    std::vector<FaultScript> scripts;
-    for (const TxLogEntry& entry : targeted) {
-      placements_for(entry, cfg.max_victim_sets, scripts,
-                     result.dropped_victim_sets);
-    }
-    const std::vector<Cell> cells =
-        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed,
-                  /*naive_rerun=*/false, cfg.telemetry);
-    fold_batch(scripts, cells, 0, result, cfg.telemetry);
-  } else {
-    // Depth 2: bases in deterministic order — life-sign attempts first
-    // (an omitted ELS skews the victim's surveillance timer a whole Th
-    // early, the precondition of the inconsistent-message-omission
-    // counterexample), then the rest; attempt ascending, victim
-    // ascending within each group.  Each base is probed for the FDA
-    // attempts it provokes; the search stops after the first base whose
-    // batch violates.
-    std::vector<FaultScript> bases;
-    const auto add_bases = [&](bool els_pass) {
-      for (const TxLogEntry& entry : targeted) {
-        const bool is_els =
-            entry.msg_type == static_cast<std::uint8_t>(MsgType::kEls);
-        if (is_els != els_pass) continue;
-        for (can::NodeId victim : entry.receivers) {
-          FaultEvent ev;
-          ev.tx = entry.tx_index;
-          ev.op = FaultOp::kOmit;
-          ev.victims = can::NodeSet{victim};
-          ev.crash_sender = true;
-          bases.push_back(FaultScript{ev});
-        }
-      }
-    };
-    add_bases(/*els_pass=*/true);
-    add_bases(/*els_pass=*/false);
-    if (cfg.max_bases != 0 && bases.size() > cfg.max_bases) {
-      result.dropped_bases = bases.size() - cfg.max_bases;
-      bases.resize(cfg.max_bases);
-      result.partial = true;
-    }
-    std::size_t index_base = 0;
-    for (const FaultScript& base : bases) {
-      obs::telemetry_add(cfg.telemetry, obs::TelemetryCounter::kRuns);
-      const RunResult probe2 =
-          run_checked(cfg.scenario, base, /*want_tx_log=*/true);
-      ++result.runs;
-      // New attempts the base fault provoked: FDA failure-signs after it.
-      std::vector<const TxLogEntry*> fda_targets;
-      for (const TxLogEntry& e : probe2.tx_log) {
-        if (e.tx_index > base.front().tx &&
-            e.msg_type == static_cast<std::uint8_t>(MsgType::kFda) &&
-            !e.receivers.empty()) {
-          if (fda_targets.size() >= cfg.depth2_targets) {
-            ++result.dropped_targets;
-            result.partial = true;
-            continue;
-          }
-          fda_targets.push_back(&e);
-        }
-      }
-      std::vector<FaultScript> scripts;
-      for (const TxLogEntry* target : fda_targets) {
-        const std::vector<can::NodeId> pool = members(target->receivers);
-        const std::uint64_t subsets = (1ULL << pool.size()) - 1;
-        std::uint64_t used = 0;
-        for (std::uint64_t mask = 1; mask <= subsets; ++mask) {
-          if (cfg.max_victim_sets != 0 && used >= cfg.max_victim_sets) {
-            result.dropped_victim_sets +=
-                static_cast<std::size_t>(subsets - mask + 1);
-            result.partial = true;
-            break;
-          }
-          ++used;
-          FaultEvent second;
-          second.tx = target->tx_index;
-          second.op = FaultOp::kOmit;
-          second.victims = subset_from_mask(pool, mask);
-          second.crash_sender = true;  // the inconsistent-message-omission arm
-          FaultScript script = base;
-          script.push_back(second);
-          scripts.push_back(std::move(script));
-        }
-      }
-      const std::vector<Cell> cells =
-          run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed,
-                    /*naive_rerun=*/false, cfg.telemetry);
-      const std::size_t before = result.violations.size();
-      fold_batch(scripts, cells, index_base, result, cfg.telemetry);
-      index_base += cells.size();
-      if (result.violations.size() > before) break;
-    }
-  }
-
-  // Seeded random walks, reproducible per walk index.
-  if (cfg.random_walks > 0 && !window.empty()) {
-    std::vector<FaultScript> scripts;
-    scripts.reserve(cfg.random_walks);
-    for (std::size_t w = 0; w < cfg.random_walks; ++w) {
-      sim::Rng rng{campaign::fork_seed(cfg.seed, result.placements + w)};
-      scripts.push_back(random_script(rng, window));
-    }
-    const std::size_t index_base = result.placements;
-    const std::vector<Cell> cells =
-        run_batch(cfg.scenario, scripts, cfg.threads, cfg.seed,
-                  /*naive_rerun=*/false, cfg.telemetry);
-    fold_batch(scripts, cells, index_base, result, cfg.telemetry);
-  }
-
-  return result;
+  return RecordExplorer{cfg}.run();
 }
 
 }  // namespace canely::check

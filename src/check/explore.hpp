@@ -4,39 +4,47 @@
 // The explorer enumerates fault placements against a scenario and runs
 // each through the checked harness, in parallel, with byte-identical
 // aggregate output for any thread count (the campaign runner's
-// determinism contract: placements are enumerated up front in a fixed
-// order, each run is a pure function of its placement, and results are
-// collected by index).
+// determinism contract: each run is a pure function of its placement,
+// and results are collected by index).
 //
-// Depth 1 (exhaustive): a probe run maps the fault-free attempt timeline;
-// every placement is (attempt within the fault window) x (non-empty
-// victim subset of that attempt's receivers) x (sender crashes before
-// retransmission, or not).  With FDA enabled this space must be violation
-// free — that is the checker's reproduction of the paper's §6.1/§6.2
-// claim.
+// One engine, four unit sources.  Every placement is a *unit* with
+// shard-computable coordinates (u, j), pushed in coordinate order:
 //
-// Depth 2 (targeted, for ablations): second-order placements layer a
-// fault on frames that only exist *because of* the first fault — chiefly
-// the FDA failure-sign a first crash provokes.  Bases (single-fault
-// placements with a singleton victim and a sender crash) are examined in
-// deterministic order; for each, a probe run discovers the new FDA
-// attempts and a batch enumerates victim subsets on them.  The search
-// stops after the first base whose batch violates (lowest base, then
-// lowest in-batch index — deterministic for any thread count).
+//  * Depth-1 sweep: a probe run maps the fault-free attempt timeline;
+//    unit (u, 0) is placement u of (attempt within the fault window) x
+//    (non-empty victim subset of its receivers) x (sender crashes before
+//    retransmission, or not).  With FDA enabled this space must be
+//    violation free — the checker's reproduction of the paper's
+//    §6.1/§6.2 claim.
+//  * Exhaustive depth 2 (`exhaustive`): bases are the depth-1
+//    placements; base u's probe run exposes the attempts after it, and
+//    unit (u, j) adds second fault j on one of them (every in-window
+//    attempt, capped by depth2_targets, both crash flags).
+//  * Targeted depth 2 (depth 2 without `exhaustive`, for ablations):
+//    second faults land on frames that only exist *because of* the first
+//    — the FDA failure-signs a crashing base provokes.  Bases are
+//    singleton-victim crash placements, life-sign attempts first; seconds
+//    are crash-only, on up to depth2_targets post-base FDA attempts.  The
+//    search stops after the first base whose units violate (lowest base,
+//    lowest unit — deterministic for any thread count).  That unit space
+//    depends on verdicts, so it cannot be sharded: explore() throws
+//    std::invalid_argument for shard_count > 1.
+//  * Random walks (`random_walks`), after the enumerated space: walk w
+//    is unit (u0 + w, 0), u0 past every base, drawn from per-walk forked
+//    seeds (campaign::fork_seed(seed, units before it + w)) so it is
+//    reproducible in isolation.  Its key is its script's hash; it has no
+//    base, so it never shares a state-keyed class and never rejoins.  A
+//    shard does not know the units before the walks, so walks are not
+//    sharded either (std::invalid_argument).
 //
-// Record mode (exploration at scale): turning on `exhaustive`, `dedup`,
-// sharding, or a frontier path switches the explorer to its scale engine.
-// Every placement becomes a *unit* with shard-computable coordinates
-// (u, j) — at depth 1, u is the global placement index and j is 0; at
-// depth 2, u is the global base index and j the in-base placement index —
-// and the exploration is driven unit-by-unit in coordinate order:
+// Every source runs through the same machinery:
 //
-//  * Equivalence dedup: each unit is keyed by the canonical state hash at
-//    the judge-time of the attempt its (last) fault targets, combined
-//    with the fault itself.  Equal key means equal post-injection
-//    evolution (the harness is deterministic and monitors render
-//    verdicts only in finish()), so only the first unit of a class is
-//    simulated; the rest inherit its verdict as dedup skips.
+//  * Equivalence dedup (`dedup`): each unit is keyed by the canonical
+//    state hash at the judge-time of the attempt its (last) fault
+//    targets, combined with the fault itself.  Equal key means equal
+//    post-injection evolution (the harness is deterministic and monitors
+//    render verdicts only in finish()), so only the first unit of a class
+//    is simulated; the rest inherit its verdict as dedup skips.
 //  * Rejoin (with dedup): a simulated unit stops at the first attempt
 //    after its last fault that starts at the instant of one of its base
 //    probe's post-script samples, if the crash set and the canonical
@@ -45,6 +53,10 @@
 //    (RejoinTarget).  In CANELy's join phase most omissions are absorbed
 //    by the idle gap before join_wait, so about half of the simulated
 //    units rejoin there.
+//  * Sampling on demand: a state digest costs ~20 µs at n = 10, so a
+//    probe hashes only the attempts its source keys units on, plus, with
+//    dedup, the post-script instants a unit may rejoin at
+//    (RunOptions::sample_at).  Keys do not depend on dedup on/off.
 //  * Prefix-replay caching: all units of a base share the base's probe
 //    run (tx log + judge-time samples + verdict).  Probes live in an LRU
 //    PrefixCache and are computed once per base instead of once per
@@ -54,19 +66,11 @@
 //    units (atomic rename), supports resume after a kill, and merges
 //    with the other shards into a file byte-identical to an unsharded
 //    run's (check/frontier.hpp).
-//  * Depth-2 exhaustive: with `exhaustive`, bases are the *complete*
-//    depth-1 placement enumeration and the seconds per base target every
-//    post-base attempt in the window (budget-capped, drops reported) —
-//    no early stop at the first violating base.
 //
-// Record mode replaces the legacy trace-hash aggregate with an
-// order-sensitive fold over the verdict records, invariant across thread
-// count, shard split, and dedup on/off.  Random walks are a legacy-mode
-// feature and are not run in record mode.
-//
-// Seeded random walks complement enumeration with multi-fault scripts
-// drawn from per-walk forked seeds (campaign::fork_seed), so walk w is
-// reproducible in isolation.
+// The aggregate is an order-sensitive fold over the verdict records
+// (fold_record), taken as each unit settles, invariant across thread
+// count, shard split, dedup on/off and the frontier/stop hooks.  Records
+// themselves are kept only when a frontier file is written.
 
 #include <cstdint>
 #include <string>
@@ -87,7 +91,10 @@ struct ExploreConfig {
                                 ///< convention, same as campaign::Runner)
   std::uint64_t seed{42};       ///< master seed for random walks
   int depth{1};                 ///< 1 = exhaustive single fault, 2 = targeted
-  std::size_t random_walks{0};  ///< extra multi-fault random scripts
+                                ///< (or exhaustive, see below)
+  /// Seeded multi-fault scripts run after the enumerated space, one unit
+  /// each (see header comment); unshardable.
+  std::size_t random_walks{0};
 
   // Budget caps (0 = unlimited).  Capped explorations report what they
   // dropped via the dropped_* counters and mark the result partial.
@@ -100,9 +107,11 @@ struct ExploreConfig {
   /// surface inside the run.  zero() = duration - expel_grace - settle.
   sim::Time fault_window{sim::Time::zero()};
 
-  // -- exploration at scale (record mode; see header comment) --------------
+  // -- exploration at scale (see header comment) ---------------------------
 
-  /// Depth 2: full base x second cross product, no early stop.
+  /// Depth 2: the full base x second cross product (bases = every depth-1
+  /// placement, seconds on every post-base in-window attempt, both crash
+  /// flags) with no early stop — shardable.  Off: the targeted search.
   bool exhaustive{false};
   /// Skip units whose equivalence class has already been simulated, and
   /// stop simulated units that rejoin their base trajectory.
@@ -159,12 +168,11 @@ struct ExploreResult {
   std::size_t frames_in_window{0};  ///< attempts eligible for targeting
   std::size_t frames_targeted{0};   ///< attempts actually targeted
   std::vector<FoundViolation> violations;  ///< in run order
-  std::uint64_t aggregate_hash{0};  ///< digest of every run's outcome, in
-                                    ///< enumeration order — the thread-
-                                    ///< invariance anchor (record mode:
-                                    ///< fold_records over the frontier)
+  std::uint64_t aggregate_hash{0};  ///< fold_record over every unit's
+                                    ///< record, in unit order — the
+                                    ///< thread-invariance anchor
 
-  // -- record-mode accounting ----------------------------------------------
+  // -- engine accounting -----------------------------------------------------
   std::size_t probe_runs{0};         ///< prefix probes executed
   std::size_t prefix_cache_hits{0};  ///< probes served from the cache
   std::size_t dedup_classes{0};      ///< distinct equivalence classes
@@ -181,6 +189,9 @@ struct ExploreResult {
   bool resumed{false};   ///< continued from an existing frontier file
 };
 
+/// Throws std::invalid_argument for a sharded targeted search or sharded
+/// walks (their unit spaces are not shard-computable), and
+/// std::runtime_error when a frontier file cannot be written.
 [[nodiscard]] ExploreResult explore(const ExploreConfig& cfg);
 
 }  // namespace canely::check

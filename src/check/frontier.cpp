@@ -47,19 +47,22 @@ void fold_string(std::uint64_t& h, const std::string& s) {
 
 }  // namespace
 
+std::uint64_t fold_record(std::uint64_t h, const FrontierRecord& r) {
+  h = fnv1a(h, r.u);
+  h = fnv1a(h, r.j);
+  h = fnv1a(h, r.key);
+  h = fnv1a(h, r.violated ? 1 : 0);
+  if (r.violated) {
+    fold_string(h, r.violation.monitor);
+    h = fnv1a(h, static_cast<std::uint64_t>(r.violation.when.to_ns()));
+    fold_string(h, r.violation.detail);
+  }
+  return h;
+}
+
 std::uint64_t fold_records(const std::vector<FrontierRecord>& records) {
   std::uint64_t h = kFnvOffset;
-  for (const FrontierRecord& r : records) {
-    h = fnv1a(h, r.u);
-    h = fnv1a(h, r.j);
-    h = fnv1a(h, r.key);
-    h = fnv1a(h, r.violated ? 1 : 0);
-    if (r.violated) {
-      fold_string(h, r.violation.monitor);
-      h = fnv1a(h, static_cast<std::uint64_t>(r.violation.when.to_ns()));
-      fold_string(h, r.violation.detail);
-    }
-  }
+  for (const FrontierRecord& r : records) h = fold_record(h, r);
   return h;
 }
 

@@ -57,9 +57,15 @@ struct FrontierFile {
   std::uint64_t aggregate{};   ///< fold_records(records)
 };
 
-/// Order-sensitive FNV fold over the records: the explorer's
-/// thread/shard/dedup-invariant aggregate.  Callers sort by (u, j) first
-/// when records may be out of order (merge).
+/// One step of the aggregate fold: `h` extended by `record`.  The
+/// explorer folds its records one by one as they settle, so it keeps
+/// none unless a frontier file needs them.
+[[nodiscard]] std::uint64_t fold_record(std::uint64_t h,
+                                        const FrontierRecord& record);
+
+/// Order-sensitive FNV fold over the records (fold_record from
+/// kFnvOffset): the explorer's thread/shard/dedup-invariant aggregate.
+/// Callers sort by (u, j) first when records may be out of order (merge).
 [[nodiscard]] std::uint64_t fold_records(
     const std::vector<FrontierRecord>& records);
 

@@ -23,6 +23,7 @@ class LoggingInjector final : public can::FaultInjector {
   /// Returns the canonical state hash of the whole universe, evaluated at
   /// the instant of the call (judge-time, pre-verdict).
   using Sampler = std::function<std::uint64_t()>;
+  using SampleAt = std::function<bool(const TxLogEntry&)>;
 
   LoggingInjector(FaultScript script, bool want_log,
                   const can::NodeSet& crashed)
@@ -31,9 +32,9 @@ class LoggingInjector final : public can::FaultInjector {
         want_log_{want_log},
         crashed_{crashed} {}
 
-  void set_sampler(Sampler sampler, sim::Time until) {
+  void set_sampler(Sampler sampler, SampleAt sample_at) {
     sampler_ = std::move(sampler);
-    sample_until_ = until;
+    sample_at_ = std::move(sample_at);
   }
 
   /// Arm the rejoin check (needs the sampler); a rejoin stops `engine`.
@@ -49,7 +50,7 @@ class LoggingInjector final : public can::FaultInjector {
   }
 
   can::Verdict judge(const can::TxContext& ctx) override {
-    if (want_log_) {
+    if (want_log_ || sample_at_) {
       TxLogEntry e;
       e.tx_index = ctx.tx_index;
       e.transmitter = ctx.transmitter;
@@ -61,13 +62,13 @@ class LoggingInjector final : public can::FaultInjector {
         e.msg_type = static_cast<std::uint8_t>(mid->type);
         e.mid_node = mid->node;
       }
-      log_.push_back(e);
-    }
-    // Sample before the verdict: the hash captures the state a fault
-    // targeting this attempt would act on.
-    if (sampler_ && ctx.start < sample_until_) {
-      samples_.push_back(
-          StateSample{ctx.tx_index, sampler_(), ctx.start, crashed_});
+      // Sample before the verdict: the hash captures the state a fault
+      // targeting this attempt would act on.
+      if (sample_at_ && sample_at_(e)) {
+        samples_.push_back(
+            StateSample{ctx.tx_index, sampler_(), ctx.start, crashed_});
+      }
+      if (want_log_) log_.push_back(e);
     }
     if (!rejoin_.empty() && ctx.tx_index >= own_end_) check_rejoin(ctx);
     return inner_.judge(ctx);
@@ -103,7 +104,7 @@ class LoggingInjector final : public can::FaultInjector {
   bool want_log_;
   const can::NodeSet& crashed_;
   Sampler sampler_;
-  sim::Time sample_until_{sim::Time::max()};
+  SampleAt sample_at_;
   std::vector<TxLogEntry> log_;
   std::vector<StateSample> samples_;
   std::span<const StateSample> rejoin_;  ///< unvisited post-script samples
@@ -251,7 +252,7 @@ RunResult run_checked(const ScenarioConfig& cfg, const FaultScript& script,
     });
   }
 
-  if (opts.want_samples || opts.rejoin != nullptr) {
+  if (opts.sample_at || opts.rejoin != nullptr) {
     // Canonical state hash: fixed feed order — instant, bus, nodes 0..n-1,
     // the crash record the harness itself maintains, then the monitor
     // panel.  Everything the run's continuation depends on is in here;
@@ -267,8 +268,7 @@ RunResult run_checked(const ScenarioConfig& cfg, const FaultScript& script,
           for (const Monitor* m : monitors) m->hash_state(h, cfg.n);
           return h.digest();
         },
-        // A run that only checks for a rejoin keeps no samples.
-        opts.want_samples ? opts.sample_until : sim::Time::zero());
+        opts.sample_at);
     if (opts.rejoin != nullptr) {
       injector.set_rejoin(*opts.rejoin, engine);
     }
@@ -321,7 +321,7 @@ RunResult run_checked(const ScenarioConfig& cfg, const FaultScript& script,
   result.attempts = bus.stats().attempts;
   result.end = end.end;
   if (want_tx_log) result.tx_log = std::move(injector.log());
-  if (opts.want_samples) result.samples = std::move(injector.samples());
+  result.samples = std::move(injector.samples());
   return result;
 }
 

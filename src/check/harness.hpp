@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -93,7 +94,7 @@ struct StateSample {
 };
 
 /// A base trajectory a run may rejoin: the judge-time samples and the
-/// verdict of a probe run (the record-mode explorer's base probe).
+/// verdict of a probe run (the explorer's base probe).
 ///
 /// Once a run's own script is exhausted, it checks the *first* of its
 /// attempts that starts at the instant of one of the probe's post-script
@@ -117,11 +118,11 @@ struct RejoinTarget {
 struct RunOptions {
   /// Collect the per-attempt targeting map (probe runs).
   bool want_tx_log{false};
-  /// Sample the canonical state hash at every attempt's judge-time.
-  bool want_samples{false};
-  /// Stop sampling at this instant (attempts starting later are not
-  /// hashed) — bounds probe cost to the fault window under scrutiny.
-  sim::Time sample_until{sim::Time::max()};
+  /// Sample the canonical state hash at the judge-time of each attempt
+  /// this returns true for (asked once per attempt, in wire order; empty
+  /// = no samples).  A digest costs ~20 µs at n = 10, so probes ask only
+  /// for the attempts their unit source keys or may rejoin at.
+  std::function<bool(const TxLogEntry&)> sample_at;
   /// Structured observability feed (typed events + metrics); used to
   /// attach a Perfetto timeline to counterexample artifacts.
   obs::Recorder* recorder{nullptr};
@@ -133,12 +134,12 @@ struct RunOptions {
 struct RunResult {
   std::vector<Violation> violations;
   /// Digest of the completed attempts.  A rejoined run's covers only the
-  /// prefix it simulated (record mode never reads it).
+  /// prefix it simulated (the explorer never reads it).
   std::uint64_t trace_hash{0};
   std::vector<TxLogEntry> tx_log;  ///< only when requested
   /// Per-node view-install history; only when the tx log is requested.
   std::array<std::vector<ViewInstall>, can::kMaxNodes> installs{};
-  /// Judge-time state hashes; only when RunOptions::want_samples.
+  /// Judge-time state hashes; only where RunOptions::sample_at asks.
   std::vector<StateSample> samples;
   std::uint64_t attempts{0};  ///< bus attempts completed
   sim::Time end{};

@@ -94,7 +94,7 @@ TEST(CheckHarness, ScenarioBoundsAreOrdered) {
 // A run given its base probe's trajectory stops once it rejoins it and
 // reports the probe's verdict; that must be the verdict the same script
 // reaches when run to the end.  The base is a violating two-fault script
-// from the record-mode explorer's depth-2 space (n0 and n1 crash in the
+// from the explorer's exhaustive depth-2 space (n0 and n1 crash in the
 // join burst; n2 detects n0's crash only after join_wait, past the
 // detection-latency bound), so the inherited verdict is not empty.
 TEST(CheckHarness, RejoinedRunReturnsTheFullRunsViolations) {
@@ -110,7 +110,7 @@ TEST(CheckHarness, RejoinedRunReturnsTheFullRunsViolations) {
   const FaultScript base{first, second};
   check::RunOptions probe_opts;
   probe_opts.want_tx_log = true;
-  probe_opts.want_samples = true;
+  probe_opts.sample_at = [](const check::TxLogEntry&) { return true; };
   const RunResult probe = check::run_checked(cfg, base, probe_opts);
   ASSERT_FALSE(probe.violations.empty());
   const check::RejoinTarget target{probe.samples, check::script_end(base),
@@ -232,24 +232,36 @@ TEST(CheckExplore, SmallBudgetExplorationIsCleanWithFdaOn) {
 }
 
 TEST(CheckExplore, AggregateIsByteIdenticalForAnyThreadCount) {
-  check::ExploreConfig cfg;
-  cfg.scenario = ScenarioConfig::membership(8);
-  cfg.max_frames = 10;
-  cfg.max_victim_sets = 8;
-  cfg.random_walks = 16;
+  // The depth-1 sweep with FDA on, and the FDA-off targeted depth-2
+  // search, whose early stop must land on the same base (and its walks
+  // on the same seeds) for any thread count.
+  check::ExploreConfig sweep;
+  sweep.scenario = ScenarioConfig::membership(8);
+  sweep.max_frames = 10;
+  sweep.max_victim_sets = 8;
+  sweep.random_walks = 16;
+  check::ExploreConfig targeted;
+  targeted.scenario = ScenarioConfig::membership(8, /*fda_on=*/false);
+  targeted.depth = 2;
+  targeted.max_frames = 36;
+  targeted.max_victim_sets = 2;
+  targeted.depth2_targets = 2;
+  targeted.random_walks = 8;
 
-  cfg.threads = 1;
-  const check::ExploreResult seq = check::explore(cfg);
-  cfg.threads = 4;
-  const check::ExploreResult par = check::explore(cfg);
+  for (check::ExploreConfig cfg : {sweep, targeted}) {
+    cfg.threads = 1;
+    const check::ExploreResult seq = check::explore(cfg);
+    cfg.threads = 4;
+    const check::ExploreResult par = check::explore(cfg);
 
-  EXPECT_EQ(seq.placements, par.placements);
-  EXPECT_EQ(seq.runs, par.runs);
-  EXPECT_EQ(seq.aggregate_hash, par.aggregate_hash);
-  ASSERT_EQ(seq.violations.size(), par.violations.size());
-  for (std::size_t i = 0; i < seq.violations.size(); ++i) {
-    EXPECT_EQ(seq.violations[i].run_index, par.violations[i].run_index);
-    EXPECT_EQ(seq.violations[i].script, par.violations[i].script);
+    EXPECT_EQ(seq.placements, par.placements);
+    EXPECT_EQ(seq.runs, par.runs);
+    EXPECT_EQ(seq.aggregate_hash, par.aggregate_hash);
+    ASSERT_EQ(seq.violations.size(), par.violations.size());
+    for (std::size_t i = 0; i < seq.violations.size(); ++i) {
+      EXPECT_EQ(seq.violations[i].run_index, par.violations[i].run_index);
+      EXPECT_EQ(seq.violations[i].script, par.violations[i].script);
+    }
   }
 }
 

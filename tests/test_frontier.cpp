@@ -1,13 +1,15 @@
-// Tests for the explorer's scale engine (record mode): shard-union
+// Tests for the exploration engine's record machinery: shard-union
 // byte-identity, dedup-on vs dedup-off verdict equality, prefix-cache
-// replay against the from-scratch oracle, frontier resume-after-kill,
-// merge validation, and --shard argument parsing.
+// replay against the from-scratch oracle, the targeted search and walks
+// under every record hook, frontier resume-after-kill, merge validation,
+// and --shard argument parsing.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,6 +43,31 @@ ExploreConfig smoke_config() {
   cfg.depth2_targets = 2;
   cfg.threads = 2;
   return cfg;
+}
+
+// The FDA-off targeted depth-2 search (early stop at the first violating
+// base) over a clipped space, plus random walks: 338 units in 169 bases,
+// the last one violating, then 8 walks — a second violation among them.
+ExploreConfig targeted_config() {
+  ExploreConfig cfg;
+  cfg.scenario = ScenarioConfig::membership(8, /*fda_on=*/false);
+  cfg.depth = 2;
+  cfg.max_frames = 36;
+  cfg.max_victim_sets = 2;
+  cfg.depth2_targets = 2;
+  cfg.random_walks = 8;
+  cfg.threads = 2;
+  return cfg;
+}
+
+void expect_same_exploration(const ExploreResult& a, const ExploreResult& b) {
+  EXPECT_EQ(a.placements, b.placements);
+  EXPECT_EQ(a.aggregate_hash, b.aggregate_hash);
+  ASSERT_EQ(a.violations.size(), b.violations.size());
+  for (std::size_t i = 0; i < a.violations.size(); ++i) {
+    EXPECT_EQ(a.violations[i].run_index, b.violations[i].run_index);
+    EXPECT_EQ(a.violations[i].script, b.violations[i].script);
+  }
 }
 
 std::string temp_path(const std::string& name) {
@@ -139,8 +166,8 @@ TEST(Frontier, DedupOnAndOffProduceIdenticalVerdicts) {
 
 // --- rejoin: verdicts inherited from the base trajectory -------------------
 
-// A record-mode space whose records include violations (the
-// detection-latency finding of DESIGN.md's record-mode section): with
+// An exhaustive space whose records include violations (the
+// detection-latency finding of DESIGN.md §12): with
 // dedup on, rejoined units must leave the frontier byte-identical to
 // the dedup-off run, and the tripwire must re-run every rejoin to full
 // length without a mismatch.
@@ -209,7 +236,7 @@ TEST(PrefixCache, ReplayMatchesFromScratchOracle) {
 
   check::RunOptions opts;
   opts.want_tx_log = true;
-  opts.want_samples = true;
+  opts.sample_at = [](const check::TxLogEntry&) { return true; };
   const check::RunResult oracle = check::run_checked(scenario, base, opts);
   ASSERT_FALSE(oracle.tx_log.empty());
   ASSERT_FALSE(oracle.samples.empty());
@@ -277,37 +304,99 @@ TEST(PrefixCache, LruEvictsLeastRecentlyUsedSlot) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
+// --- the targeted search and random walks on the record engine ------------
+
+// The frontier and the stop hook only observe: the targeted search
+// explores the same units, finds the same violations, and folds the same
+// aggregate with them or without — dedup on included, walks included.
+TEST(Frontier, TargetedSearchIsTheSameUnderEveryRecordHook) {
+  const std::string path = temp_path("frontier_targeted.json");
+  std::remove(path.c_str());
+
+  ExploreConfig cfg = targeted_config();
+  const ExploreResult plain = check::explore(cfg);
+  ASSERT_EQ(plain.violations.size(), 2u);
+  EXPECT_EQ(plain.placements, 346u);
+  EXPECT_EQ(plain.runs, plain.placements + plain.probe_runs);
+
+  cfg.stop_after_units = 1'000'000;  // armed, never reached
+  cfg.frontier_path = path;
+  const ExploreResult hooked = check::explore(cfg);
+  expect_same_exploration(plain, hooked);
+  const FrontierFile frontier = check::load_frontier(path);
+  EXPECT_TRUE(frontier.complete);
+  ASSERT_EQ(frontier.records.size(), plain.placements);
+  EXPECT_EQ(frontier.aggregate, plain.aggregate_hash);
+  // The walks are the last 8 records: units (u0 + w, 0) past every base.
+  const std::uint64_t u0 = frontier.records[frontier.records.size() - 8].u;
+  for (std::uint64_t w = 0; w < 8; ++w) {
+    const FrontierRecord& rec = frontier.records[frontier.records.size() - 8 + w];
+    EXPECT_EQ(rec.u, u0 + w);
+    EXPECT_EQ(rec.j, 0u);
+  }
+  EXPECT_GT(u0, frontier.records[frontier.records.size() - 9].u);
+
+  std::remove(path.c_str());
+  cfg.dedup = true;
+  cfg.dedup_verify_every = 1;
+  const ExploreResult deduped = check::explore(cfg);
+  expect_same_exploration(plain, deduped);
+  EXPECT_EQ(deduped.dedup_mismatches, 0u);
+  std::remove(path.c_str());
+}
+
+// A verdict-dependent unit space has no shard-computable slices.
+TEST(Frontier, ShardedEarlyStopSearchAndWalksAreRejected) {
+  ExploreConfig cfg = targeted_config();
+  cfg.random_walks = 0;
+  cfg.shard_count = 2;
+  EXPECT_THROW((void)check::explore(cfg), std::invalid_argument);
+  cfg.exhaustive = true;  // no early stop: shardable
+  cfg.max_bases = 2;
+  EXPECT_NO_THROW((void)check::explore(cfg));
+  cfg.random_walks = 1;  // walk seeds count the units of every shard
+  EXPECT_THROW((void)check::explore(cfg), std::invalid_argument);
+}
+
 // --- resume after a kill -----------------------------------------------------
 
+// Stopped mid-run and resumed from its frontier, an exploration ends in
+// the bytes of a straight run — the exhaustive space, and the targeted
+// search whose early stop and walks depend on the resumed verdicts.
 TEST(Frontier, ResumeAfterStopYieldsByteIdenticalFrontier) {
   const std::string resumable = temp_path("frontier_resume.json");
   const std::string straight = temp_path("frontier_straight.json");
-  std::remove(resumable.c_str());
-  std::remove(straight.c_str());
+  for (ExploreConfig cfg : {smoke_config(), targeted_config()}) {
+    std::remove(resumable.c_str());
+    std::remove(straight.c_str());
+    // The targeted search stops right after its violating base (units
+    // 336 and 337): the resumed run must stop its search there too, from
+    // the resumed verdicts alone, and go on to the walks.
+    const std::size_t stop = cfg.exhaustive ? 40 : 337;
+    cfg.frontier_path = resumable;
+    cfg.checkpoint_every = 8;
+    cfg.stop_after_units = stop;  // "kill" mid-run, after a checkpoint
+    (void)check::explore(cfg);
+    const FrontierFile at_stop = check::load_frontier(resumable);
+    EXPECT_FALSE(at_stop.complete);
+    // `total` only counts units enumerated so far (depth-2 units surface
+    // lazily, base by base), so cursor == total here; incomplete is what
+    // distinguishes a stopped run from a finished one.
+    EXPECT_GE(at_stop.cursor, stop);
 
-  ExploreConfig cfg = smoke_config();
-  cfg.frontier_path = resumable;
-  cfg.checkpoint_every = 8;
-  cfg.stop_after_units = 40;  // "kill" mid-run, after a checkpoint
-  (void)check::explore(cfg);
-  const FrontierFile at_stop = check::load_frontier(resumable);
-  EXPECT_FALSE(at_stop.complete);
-  // `total` only counts units enumerated so far (depth-2 units surface
-  // lazily, base by base), so cursor == total here; incomplete is what
-  // distinguishes a stopped run from a finished one.
-  EXPECT_GE(at_stop.cursor, 40u);
+    cfg.stop_after_units = 0;
+    const ExploreResult resumed = check::explore(cfg);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_TRUE(check::load_frontier(resumable).complete);
 
-  cfg.stop_after_units = 0;
-  const ExploreResult resumed = check::explore(cfg);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_TRUE(check::load_frontier(resumable).complete);
-
-  cfg.frontier_path = straight;
-  const ExploreResult whole = check::explore(cfg);
-  EXPECT_FALSE(whole.resumed);
-  EXPECT_EQ(resumed.aggregate_hash, whole.aggregate_hash);
-  EXPECT_EQ(slurp(resumable), slurp(straight));
-
+    cfg.frontier_path = straight;
+    const ExploreResult whole = check::explore(cfg);
+    EXPECT_FALSE(whole.resumed);
+    expect_same_exploration(resumed, whole);
+    EXPECT_EQ(slurp(resumable), slurp(straight));
+    cfg.frontier_path.clear();  // and the same as without a frontier
+    expect_same_exploration(whole, check::explore(cfg));
+  }
   std::remove(resumable.c_str());
   std::remove(straight.c_str());
 }

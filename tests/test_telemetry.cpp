@@ -151,7 +151,7 @@ TEST(TelemetryJsonl, RejectsForeignSchemaAndGarbage) {
 TEST(TelemetryByteIdentity, FrontierAndAggregateIdenticalAcrossThreads) {
   // Same tightly-capped depth-2 space as the CI smoke; four runs cross
   // {telemetry off, on} x {1 thread, 4 threads} and must agree on both
-  // the frontier bytes and the record-mode aggregate hash.
+  // the frontier bytes and the aggregate hash.
   const auto run = [](std::size_t threads, obs::Telemetry* tel,
                       const std::string& frontier) {
     check::ExploreConfig cfg;

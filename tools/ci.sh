@@ -15,7 +15,10 @@
 #                          default 0.30) x baseline fails the stage
 #   tools/ci.sh check      Release build of the checker (src/check);
 #                          check_explorer --quick must come back clean and
-#                          byte-identical across thread counts
+#                          byte-identical across thread counts; the FDA-off
+#                          targeted search + walks must not move with
+#                          --threads or --frontier; sharded and --no-dedup
+#                          depth-2 frontiers must equal the whole run's
 #   tools/ci.sh shootout   Release build of bench/membership_shootout;
 #                          the --quick grid (4 protocols x n=8,32) must
 #                          converge on every cell, emit a structurally
@@ -201,6 +204,50 @@ stage_check() {
     exit 1
   fi
   echo "check: --quick clean, aggregate byte-identical for 1 and 4 threads"
+
+  # The FDA-off targeted depth-2 search plus random walks: one engine, so
+  # --threads and --frontier change nothing — the same placements,
+  # violations and aggregate, and cmp-equal artifacts and frontiers.  The
+  # --quick space is clean; the clipped one finds a violation.
+  local tdir=build-ci/check/targeted
+  rm -rf "$tdir" && mkdir -p "$tdir"
+  local space t f
+  for space in "" "--max-frames 36 --max-victim-sets 2 --targets 2 --max-bases 0"; do
+    local ref="" ref_art=""
+    for t in 1 4; do
+      for f in none frontier; do
+        local tag="t${t}_${f}${space:+_clipped}" rc=0 out lines
+        local fflag=()
+        [ "$f" = frontier ] && fflag=(--frontier "$tdir/$tag.frontier.json")
+        # shellcheck disable=SC2086
+        out="$("$dir/bench/check_explorer" --no-fda --quick --random-walks 8 \
+          $space --threads "$t" "${fflag[@]}" \
+          --artifact "$tdir/$tag.artifact.json")" || rc=$?
+        if [ "$rc" -gt 1 ]; then
+          echo "check: targeted search ($tag) exited $rc" >&2
+          exit 1
+        fi
+        lines="$(echo "$out" |
+          grep -E '^(placements enumerated|violations found|aggregate hash):')"
+        # No violation, no artifact: compare an empty file then.
+        [ -e "$tdir/$tag.artifact.json" ] || : >"$tdir/$tag.artifact.json"
+        if [ -z "$ref" ]; then
+          ref="$lines" ref_art="$tdir/$tag.artifact.json"
+          echo "$lines"
+        elif [ "$lines" != "$ref" ] ||
+          ! cmp -s "$tdir/$tag.artifact.json" "$ref_art"; then
+          echo "check: targeted search $tag differs from $ref_art" >&2
+          exit 1
+        fi
+      done
+    done
+    if ! cmp -s "$tdir/t1_frontier${space:+_clipped}.frontier.json" \
+      "$tdir/t4_frontier${space:+_clipped}.frontier.json"; then
+      echo "check: targeted frontier differs between thread counts" >&2
+      exit 1
+    fi
+  done
+  echo "check: targeted search + walks identical across threads and frontier"
 
   # Depth-2 exhaustive smoke: a tightly budgeted cross product must
   # complete, and two shards merged must be byte-identical to the
