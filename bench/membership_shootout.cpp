@@ -26,7 +26,9 @@
 //
 //   --quick       n = 8, 32 only (CI smoke)
 //   --trace-out PREFIX   per-protocol Perfetto timeline export
-//   --threads/--seed/--json/--shard: the standard campaign flags.
+//   --threads/--seed/--json: the standard campaign flags.  There is no
+//   --shard: the grid is small enough to run whole, and an unknown flag
+//   prints usage and exits 2 like any other.
 
 #include <algorithm>
 #include <array>

@@ -45,10 +45,6 @@ CliOptions parse_cli(int argc, char** argv, const std::string& default_json) {
       opts.json_path = value();
     } else if (arg == "--no-json") {
       opts.json_path.clear();
-    } else if (arg == "--shard") {
-      if (!parse_shard(value(), opts.shard_index, opts.shard_count)) {
-        opts.help = true;
-      }
     } else {
       opts.help = true;  // includes --help / -h / anything unknown
     }
@@ -58,13 +54,11 @@ CliOptions parse_cli(int argc, char** argv, const std::string& default_json) {
 
 void print_cli_usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--threads N] [--seed S] [--json PATH | --no-json]"
-               " [--shard i/N]\n"
+               "usage: %s [--threads N] [--seed S] [--json PATH | --no-json]\n"
                "  --threads N  worker threads (default: hardware concurrency)\n"
                "  --seed S     campaign master seed (default 42)\n"
                "  --json PATH  write the campaign trajectory JSON here\n"
-               "  --no-json    suppress JSON emission\n"
-               "  --shard i/N  run slice i of an N-way partition\n",
+               "  --no-json    suppress JSON emission\n",
                argv0);
 }
 

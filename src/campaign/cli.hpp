@@ -5,12 +5,14 @@
 //   --seed S      master seed of the grid (default 42)
 //   --json PATH   write the BENCH_*.json trajectory here ("" = skip)
 //   --no-json     suppress the default JSON emission
-//   --shard i/N   run slice i of an N-way deterministic partition
 //   --help        print usage
 //
 // Every refactored bench accepts exactly these flags, so the
 // determinism check "diff <(bench --threads 1 --json a.json) ..." works
-// uniformly across the suite (see EXPERIMENTS.md).
+// uniformly across the suite (see EXPERIMENTS.md).  A campaign bench
+// runs its whole grid in one process, so there is no --shard here:
+// check_explorer, whose unit space is partitioned, parses its own with
+// parse_shard().
 
 #include <cstdint>
 #include <string>
@@ -21,8 +23,6 @@ struct CliOptions {
   std::size_t threads{0};  ///< 0 = hardware concurrency
   std::uint64_t seed{42};
   std::string json_path;   ///< empty = no JSON emission
-  std::size_t shard_index{0};  ///< --shard i/N: this process owns slice i
-  std::size_t shard_count{1};
   bool help{false};
 };
 

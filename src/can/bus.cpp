@@ -111,6 +111,20 @@ void Bus::record_frame_end(const TxRecord& rec, bool orphaned) {
   }
 }
 
+/// Runs the observer out of its slot, so an observer that replaces or
+/// clears itself mid-call does not destroy the closure it is running
+/// in; it goes back unless set_observer() ran meanwhile.  A move, not a
+/// copy: moving a std::function never allocates, and this runs at every
+/// frame end.
+void Bus::notify_observer(const TxRecord& rec) {
+  if (!observer_) return;
+  const std::uint64_t generation = observer_generation_;
+  // canely-lint: allow(hot-path-transitive) — a move, not a copy: no allocation per frame; the observer seam itself is a std::function by API
+  std::function<void(const TxRecord&)> observer = std::move(observer_);
+  observer(rec);
+  if (observer_generation_ == generation) observer_ = std::move(observer);
+}
+
 void Bus::schedule_arbitration() {
   if (arbitration_scheduled_) return;
   arbitration_scheduled_ = true;
@@ -309,10 +323,7 @@ void Bus::finish_transmission() {
                        fx.co,    {},           TxOutcome::kCollision,
                        fx.bits,  fx.attempt};
     if (recorder_ != nullptr) record_frame_end(rec, !any_alive);
-    if (observer_) {
-      auto observer = observer_;  // may replace/clear itself mid-call
-      observer(rec);
-    }
+    notify_observer(rec);
     schedule_arbitration();
     return;
   }
@@ -447,11 +458,7 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
   }
 
   if (recorder_ != nullptr) record_frame_end(rec, orphaned);
-  if (observer_) {
-    // Invoke a copy: the observer may replace/clear itself mid-call.
-    auto observer = observer_;
-    observer(rec);
-  }
+  notify_observer(rec);
 
   // Anything still pending (including the retransmission just kept
   // queued)?  The contender list is exactly "live with queued work".

@@ -106,8 +106,10 @@ class Bus {
 
   /// Observer invoked after every completed transmission attempt; the
   /// benchmarks classify records by protocol type to split bandwidth.
+  /// The observer may replace or clear itself from inside the call.
   void set_observer(std::function<void(const TxRecord&)> obs) {
     observer_ = std::move(obs);
+    ++observer_generation_;
   }
 
   [[nodiscard]] const BusStats& stats() const { return stats_; }
@@ -183,6 +185,7 @@ class Bus {
   /// `orphaned`: every co-transmitter died mid-frame — the error slot has
   /// no live transmitter to charge (see complete_transmission).
   void record_frame_end(const TxRecord& rec, bool orphaned);
+  void notify_observer(const TxRecord& rec);
 
   sim::Engine& engine_;
   BusConfig config_;
@@ -194,6 +197,7 @@ class Bus {
   obs::Counter* ctr_retransmissions_{nullptr};
   obs::Counter* ctr_arbitration_losses_{nullptr};
   std::function<void(const TxRecord&)> observer_;
+  std::uint64_t observer_generation_{0};  ///< bumped by set_observer()
   /// Live controllers in attach order — the delivery order.  Dead
   /// controllers leave lazily (live_stale_ + compact_live()); recovered
   /// ones re-enter at their attach ordinal.  Every per-frame loop is

@@ -11,6 +11,8 @@
 // consistently to every correct node.
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <functional>
 
 #include "can/types.hpp"
@@ -57,8 +59,25 @@ class FailureDetector {
   /// Time::max() for inactive alarms, so activeness is covered.
   /// els_sent_ / els_credit_ are excluded — pure diagnostics feeding obs
   /// counters, never read back by the protocol.
+  ///
+  /// Sparse feed over every id below kMaxNodes: the count of ids not in
+  /// the default state (unmonitored, deadline Time::max()), then (id,
+  /// monitored, deadline) for each of them in ascending id.  Injective:
+  /// the count frames the list, ids are strictly ascending, and every id
+  /// it omits is in the default state.
   void hash_state(sim::StateHasher& h) const {
+    static_assert(can::kMaxNodes <= 64, "one mask bit per id");
+    std::uint64_t live = 0;  // ids not in the default (false, max) state
     for (std::size_t r = 0; r < can::kMaxNodes; ++r) {
+      if (monitored_[r] || (tid_[r] != sim::kNullTimer &&
+                            timers_.deadline(tid_[r]) != sim::Time::max())) {
+        live |= std::uint64_t{1} << r;
+      }
+    }
+    h.feed(static_cast<std::uint64_t>(std::popcount(live)));
+    for (std::uint64_t m = live; m != 0; m &= m - 1) {
+      const auto r = static_cast<std::size_t>(std::countr_zero(m));
+      h.feed(r);
       h.feed_bool(monitored_[r]);
       h.feed_time(timers_.deadline(tid_[r]));
     }

@@ -11,6 +11,8 @@
 // fault-free cost is just two frames regardless of n.
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <functional>
 
 #include "can/types.hpp"
@@ -68,8 +70,23 @@ class FdaProtocol {
   /// per-mid duplicate/request counters of Fig. 6.  ntys_ is excluded
   /// (diagnostic count); agreement_ is excluded (immutable scenario
   /// configuration, identical across all placements of one exploration).
+  ///
+  /// Sparse feed over every id below kMaxNodes: the count of mids with a
+  /// non-zero counter, then (id, fs_ndup, fs_nreq) for each of them in
+  /// ascending id.  Injective: the count frames the list, ids are
+  /// strictly ascending, and every id it omits has both counters zero.
   void hash_state(sim::StateHasher& h) const {
+    static_assert(can::kMaxNodes <= 64, "one mask bit per id");
+    std::uint64_t active = 0;  // ids with a non-zero counter
     for (std::size_t r = 0; r < can::kMaxNodes; ++r) {
+      if (fs_ndup_[r] != 0 || fs_nreq_[r] != 0) {
+        active |= std::uint64_t{1} << r;
+      }
+    }
+    h.feed(static_cast<std::uint64_t>(std::popcount(active)));
+    for (std::uint64_t m = active; m != 0; m &= m - 1) {
+      const auto r = static_cast<std::size_t>(std::countr_zero(m));
+      h.feed(r);
       h.feed(static_cast<std::uint64_t>(fs_ndup_[r]));
       h.feed(static_cast<std::uint64_t>(fs_nreq_[r]));
     }

@@ -32,21 +32,22 @@ void GroupMembership::on_announce(const Mid& mid, bool joining) {
   } else {
     members.erase(mid.node);
   }
-  if (members.intersected(site_.view()) != before) notify(group);
+  const can::NodeSet after = members.intersected(site_.view());
+  if (members.empty()) announced_.erase(group);
+  if (after != before) notify(group);
 }
 
 void GroupMembership::on_site_change(can::NodeSet active,
                                      can::NodeSet /*failed*/) {
   // A site change may shrink (failure/leave) or grow (rejoin) any group
   // view; notify every group whose effective view changed.
-  for (int g = 0; g < 256; ++g) {
-    const can::NodeSet& members = announced_[static_cast<GroupId>(g)];
-    if (members.empty()) continue;
+  // Ascending group id, as announced_ holds only non-empty sets.
+  for (const auto& [g, members] : announced_) {
     // The effective view uses the *current* site view; report groups that
     // intersect the delta.
     if (!members.intersected(active).empty() ||
         !members.minus(active).empty()) {
-      notify(static_cast<GroupId>(g));
+      notify(g);
     }
   }
 }

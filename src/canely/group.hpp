@@ -19,9 +19,9 @@
 // This layer demonstrates the composition the paper gestures at; it is an
 // extension beyond the paper's evaluated scope (documented in DESIGN.md).
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 
 #include "can/types.hpp"
 #include "canely/driver.hpp"
@@ -55,7 +55,9 @@ class GroupMembership {
 
   /// Current view of `group`: announced members that are live sites.
   [[nodiscard]] can::NodeSet group_view(GroupId group) const {
-    return announced_[group].intersected(site_.view());
+    const auto it = announced_.find(group);
+    return it == announced_.end() ? can::NodeSet{}
+                                  : it->second.intersected(site_.view());
   }
 
   [[nodiscard]] bool in_group(GroupId group) const {
@@ -74,16 +76,12 @@ class GroupMembership {
   /// Canonical state for the checker's equivalence dedup: the non-empty
   /// announcement sets, index-framed (the count feed keeps a sparse table
   /// from aliasing with a different sparse table of equal total bits).
+  /// announced_ holds exactly the non-empty sets, in ascending group id.
   void hash_state(sim::StateHasher& h) const {
-    std::uint64_t populated = 0;
-    for (const can::NodeSet& set : announced_) {
-      if (!set.empty()) ++populated;
-    }
-    h.feed(populated);
-    for (std::size_t g = 0; g < announced_.size(); ++g) {
-      if (announced_[g].empty()) continue;
+    h.feed(announced_.size());
+    for (const auto& [g, set] : announced_) {
       h.feed(g);
-      h.feed(announced_[g].bits());
+      h.feed(set.bits());
     }
   }
 
@@ -95,8 +93,9 @@ class GroupMembership {
   MembershipService& site_;
   GroupChangeHandler on_change_;
   /// Who has announced membership of each group (gated by the site view
-  /// on read).
-  std::array<can::NodeSet, 256> announced_{};
+  /// on read): only the non-empty sets, keyed by ascending group id, so
+  /// a node in no group builds, scans and hashes nothing.
+  std::map<GroupId, can::NodeSet> announced_;
 };
 
 }  // namespace canely

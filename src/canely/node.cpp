@@ -9,7 +9,9 @@ Node::Node(can::Bus& bus, can::NodeId id, const Params& params,
       recorder_{recorder},
       controller_{id, bus},
       driver_{controller_, engine_},
-      timers_{engine_},
+      // One surveillance alarm per node (FD, Fig. 8) plus the RHA and
+      // membership alarms; periodic streams grow the storage on demand.
+      timers_{engine_, params.n + 2},
       fda_{driver_, recorder},
       rha_{driver_, timers_, params_, recorder},
       fd_{driver_, timers_, fda_, params_, recorder},
@@ -68,14 +70,16 @@ void Node::start_periodic(std::uint8_t stream, sim::Time period,
 }
 
 void Node::stop_periodic(std::uint8_t stream) {
-  PeriodicStream& s = periodic_[stream];
+  const auto it = periodic_.find(stream);
+  if (it == periodic_.end()) return;
+  PeriodicStream& s = it->second;
   s.active = false;
   timers_.cancel_alarm(s.timer);
   s.timer = sim::kNullTimer;
 }
 
 void Node::periodic_tick(std::uint8_t stream) {
-  PeriodicStream& s = periodic_[stream];
+  PeriodicStream& s = periodic_.at(stream);  // map nodes never move
   if (!s.active || crashed_) return;
   send(stream, s.payload);
   s.timer = timers_.start_alarm(s.period, [this, stream] {
@@ -109,14 +113,13 @@ void Node::hash_state(sim::StateHasher& h) const {
   msh_.hash_state(h);
   groups_.hash_state(h);
   std::uint64_t active_streams = 0;
-  for (const PeriodicStream& s : periodic_) {
+  for (const auto& [id, s] : periodic_) {
     if (s.active) ++active_streams;
   }
   h.feed(active_streams);
-  for (std::size_t i = 0; i < periodic_.size(); ++i) {
-    const PeriodicStream& s = periodic_[i];
+  for (const auto& [id, s] : periodic_) {
     if (!s.active) continue;
-    h.feed(i);
+    h.feed(id);
     h.feed_time(s.period);
     h.feed(s.payload.size());
     h.feed_bytes(s.payload);

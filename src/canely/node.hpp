@@ -19,10 +19,10 @@
 // its life-sign, so cyclic control traffic with a period below Th costs
 // zero extra bandwidth for failure detection (§6.3).
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -170,7 +170,10 @@ class Node {
     std::vector<std::uint8_t> payload;
     sim::TimerId timer{sim::kNullTimer};
   };
-  std::array<PeriodicStream, 256> periodic_{};
+  /// Streams ever started, by ascending id.  A map rather than a
+  /// 256-entry table: most nodes run none, and an empty map costs
+  /// nothing to build, hash or tear down.
+  std::map<std::uint8_t, PeriodicStream> periodic_;
   bool crashed_{false};
 };
 

@@ -4,11 +4,11 @@
 #include <array>
 #include <exception>
 #include <functional>
-#include <map>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "campaign/grid.hpp"
@@ -17,6 +17,7 @@
 #include "check/frontier.hpp"
 #include "check/prefix_cache.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/hash.hpp"
 #include "sim/rng.hpp"
 
 namespace canely::check {
@@ -268,6 +269,9 @@ class RecordExplorer {
   std::uint64_t fingerprint() const {
     const ScenarioConfig& s = cfg_.scenario;
     std::uint64_t h = kFnvOffset;
+    // Unit keys are state digests: a frontier keyed under another digest
+    // scheme must not be resumed into this one.
+    h = fnv1a(h, sim::kStateDigestVersion);
     h = fnv1a(h, s.n);
     h = fnv1a(h, s.clustering ? 1 : 0);
     h = fnv1a(h, s.params.fda_agreement ? 1 : 0);
@@ -527,7 +531,9 @@ class RecordExplorer {
     std::vector<std::size_t> cell_of(pending_.size(), kSkipped);
     {
       const obs::StageTimer timer{tel_, obs::TelemetryStage::kHash};
-      std::set<std::uint64_t> claimed;
+      // canely-lint: allow(no-unordered-iter) — membership probes only, never iterated; any loop over it is still reported
+      std::unordered_set<std::uint64_t> claimed;
+      if (dedup_) claimed.reserve(pending_.size());
       for (std::size_t i = 0; i < pending_.size(); ++i) {
         const Unit& unit = pending_[i];
         if (dedup_ && unit.base != nullptr &&
@@ -690,7 +696,10 @@ class RecordExplorer {
   bool stopped_{false};
   std::vector<Unit> pending_;
   std::vector<FrontierRecord> records_;  ///< only when keep_records_
-  std::map<std::uint64_t, ClassOutcome> classes_;
+  /// Class key -> verdict.  Only ever probed, never iterated, so a
+  /// hashed table (the keys are FNV digests already).
+  // canely-lint: allow(no-unordered-iter) — probed and counted, never iterated; any loop over it is still reported
+  std::unordered_map<std::uint64_t, ClassOutcome> classes_;
 };
 
 }  // namespace

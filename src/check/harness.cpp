@@ -218,7 +218,7 @@ RunResult run_checked(const ScenarioConfig& cfg, const FaultScript& script,
           : nullptr;
 
   // The monitor panel.
-  FdaAgreementMonitor fda_mon;
+  FdaAgreementMonitor fda_mon{cfg.n};
   RhaAgreementMonitor rha_mon;
   ViewConsistencyMonitor view_mon{cfg.expel_grace(), cfg.converge_by()};
   FailSilenceMonitor silence_mon;

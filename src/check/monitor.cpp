@@ -54,7 +54,8 @@ void hash_string(sim::StateHasher& h, const std::string& s) {
 
 void FdaAgreementMonitor::on_fda_nty(can::NodeId at, can::NodeId failed,
                                      sim::Time when) {
-  Delivery& d = first_[at][failed];
+  if (at >= n_ || failed >= n_) return;  // outside the judged table
+  Delivery& d = first_[at * n_ + failed];
   if (!d.delivered) {
     d.delivered = true;
     d.when = when;
@@ -67,7 +68,7 @@ void FdaAgreementMonitor::finish(const EndState& end,
   for (can::NodeId failed : end.nodes) {
     // Validity: a delivered failure-sign names a node that crashed first.
     for (can::NodeId at : correct) {
-      const Delivery& d = first_[at][failed];
+      const Delivery& d = first(at, failed);
       if (!d.delivered) continue;
       if (!end.crashed.contains(failed) ||
           end.crash_time[failed] >= d.when) {
@@ -82,14 +83,14 @@ void FdaAgreementMonitor::finish(const EndState& end,
     // laggards' deadline lies beyond the end of the run.
     sim::Time earliest = sim::Time::max();
     for (can::NodeId at : correct) {
-      const Delivery& d = first_[at][failed];
+      const Delivery& d = first(at, failed);
       if (d.delivered && d.when < earliest) earliest = d.when;
     }
     if (earliest == sim::Time::max() || earliest > end.end - end.settle) {
       continue;
     }
     for (can::NodeId at : correct) {
-      if (!first_[at][failed].delivered) {
+      if (!first(at, failed).delivered) {
         out.push_back(Violation{
             std::string{name()}, end.end,
             cat_str("failure-sign for node ", int{failed},
@@ -104,10 +105,10 @@ void FdaAgreementMonitor::hash_state(sim::StateHasher& h,
                                      std::size_t n) const {
   // Full first-delivery table for the n scenario nodes: finish() reads
   // exactly these coordinates plus the EndState (which the harness feeds
-  // separately).
+  // separately).  The harness passes n == n_, the table's own size.
   for (std::size_t at = 0; at < n; ++at) {
     for (std::size_t failed = 0; failed < n; ++failed) {
-      const Delivery& d = first_[at][failed];
+      const Delivery& d = first(at, failed);
       h.feed_bool(d.delivered);
       if (d.delivered) h.feed_time(d.when);
     }

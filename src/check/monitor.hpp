@@ -109,6 +109,10 @@ class Monitor {
 /// FDA agreement and validity (Fig. 6).
 class FdaAgreementMonitor final : public Monitor {
  public:
+  /// `n`: the scenario size.  Deliveries at or for nodes outside the
+  /// scenario are never judged, so only the n x n table is kept.
+  explicit FdaAgreementMonitor(std::size_t n) : n_{n}, first_(n * n) {}
+
   [[nodiscard]] std::string_view name() const override {
     return "fda-agreement";
   }
@@ -122,8 +126,12 @@ class FdaAgreementMonitor final : public Monitor {
     bool delivered{false};
     sim::Time when{};
   };
-  // first_[at][failed]
-  std::array<std::array<Delivery, can::kMaxNodes>, can::kMaxNodes> first_{};
+  [[nodiscard]] const Delivery& first(std::size_t at,
+                                      std::size_t failed) const {
+    return first_[at * n_ + failed];
+  }
+  std::size_t n_;
+  std::vector<Delivery> first_;  // row-major: [at][failed]
 };
 
 /// RHA agreement (Fig. 7): pairwise, one node's sequence of agreed RHVs is

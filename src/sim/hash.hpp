@@ -57,6 +57,15 @@ inline constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
   return hash * kFnvPrimePowers[static_cast<std::size_t>(8 - significant)];
 }
 
+/// Version of the canonical state encoding the components' hash_state()
+/// methods feed.  Bump it whenever a feed changes, even when the dedup
+/// partition does not: the digests, and with them the checker's unit
+/// keys, move, and the explorer folds this into its frontier
+/// fingerprint so a frontier keyed under an older scheme starts fresh.
+///   1  dense per-id tables (every id below kMaxNodes, 256 streams/groups)
+///   2  sparse FD/FDA feeds: count of non-default ids, then (id, state)
+inline constexpr std::uint64_t kStateDigestVersion = 2;
+
 /// Seeded FNV-1a accumulator for canonical component state.
 class StateHasher {
  public:

@@ -46,7 +46,15 @@ class TimerService {
  public:
   using Callback = sim::Callback;
 
-  explicit TimerService(Engine& engine) : engine_{engine} {}
+  /// `capacity`: the concurrent alarm count the owner expects.  The
+  /// storage is sized for it once, instead of regrowing from empty in
+  /// every run; more alarms still work, growing as before.
+  explicit TimerService(Engine& engine, std::size_t capacity = 0)
+      : engine_{engine} {
+    slots_.reserve(capacity);
+    cbs_.reserve(capacity);
+    heap_.reserve(capacity);
+  }
   TimerService(const TimerService&) = delete;
   TimerService& operator=(const TimerService&) = delete;
 

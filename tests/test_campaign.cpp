@@ -354,5 +354,13 @@ TEST(CampaignCli, DefaultsAndNoJson) {
   EXPECT_TRUE(unknown.help);  // unknown flags must not be silently eaten
 }
 
+TEST(CampaignCli, ShardIsNotACampaignFlag) {
+  // A campaign bench runs its whole grid: --shard would be parsed and
+  // then ignored, so it is rejected like any unknown flag.
+  const char* argv[] = {"bench", "--shard", "1/20"};
+  const auto opts = campaign::parse_cli(3, const_cast<char**>(argv), "");
+  EXPECT_TRUE(opts.help);
+}
+
 }  // namespace
 }  // namespace canely::testing

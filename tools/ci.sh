@@ -18,7 +18,9 @@
 #                          byte-identical across thread counts; the FDA-off
 #                          targeted search + walks must not move with
 #                          --threads or --frontier; sharded and --no-dedup
-#                          depth-2 frontiers must equal the whole run's
+#                          depth-2 frontiers must equal the whole run's;
+#                          so must an FDA-on violating late-base slice's
+#                          across threads and --no-dedup, tripwire clean
 #   tools/ci.sh shootout   Release build of bench/membership_shootout;
 #                          the --quick grid (4 protocols x n=8,32) must
 #                          converge on every cell, emit a structurally
@@ -292,6 +294,55 @@ stage_check() {
   esac
   echo "check: depth-2 exhaustive smoke ok, shard union and --no-dedup" \
     "byte-identical"
+
+  # An FDA-on late-base slice whose verdicts violate (base 509 on, see
+  # ROADMAP item 1): the only place dedup and rejoin soundness meet a
+  # violating FDA-on verdict.  Exit 1 (violations found) is success;
+  # runs are compared with each other, never with a fixed violation
+  # count, so fixing those violations keeps this stage green.
+  local ldir=build-ci/check/late
+  rm -rf "$ldir" && mkdir -p "$ldir"
+  local late="--exhaustive --max-bases 1040 --shard 509/520 --no-shrink"
+  local lref="" run
+  for run in t1 t4 nodedup; do
+    local lflags=(--threads 4) rc=0 out
+    [ "$run" = t1 ] && lflags=(--threads 1)
+    [ "$run" = nodedup ] && lflags+=(--no-dedup)
+    # shellcheck disable=SC2086
+    out="$("$dir/bench/check_explorer" $late "${lflags[@]}" \
+      --frontier "$ldir/$run.json" --artifact "$ldir/$run.artifact.json")" ||
+      rc=$?
+    if [ "$rc" -gt 1 ]; then
+      echo "check: late-base slice ($run) exited $rc" >&2
+      exit 1
+    fi
+    out="$(echo "$out" | grep -E '^(placements enumerated|violations found):')"
+    if [ -z "$lref" ]; then
+      lref="$out"
+      echo "$out"
+    elif [ "$out" != "$lref" ] ||
+      ! cmp -s "$ldir/$run.json" "$ldir/t1.json" ||
+      ! cmp -s "$ldir/$run.artifact.json" "$ldir/t1.artifact.json"; then
+      echo "check: late-base slice $run differs from the --threads 1 run" >&2
+      exit 1
+    fi
+  done
+  local rc=0
+  # shellcheck disable=SC2086
+  trip="$("$dir/bench/check_explorer" $late --verify-every 1 --threads 4 \
+    --artifact "$ldir/trip.artifact.json")" || rc=$?
+  if [ "$rc" -gt 1 ]; then
+    echo "check: late-base tripwire run exited $rc" >&2
+    exit 1
+  fi
+  trip="$(echo "$trip" | grep 'dedup tripwire')"
+  echo "$trip"
+  case "$trip" in
+    *" 0 mismatches") ;;
+    *) echo "check: late-base dedup/rejoin tripwire mismatch" >&2; exit 1 ;;
+  esac
+  echo "check: FDA-on violating late-base slice identical across threads" \
+    "and --no-dedup, tripwire clean"
 }
 
 stage_shootout() {
