@@ -79,8 +79,8 @@ void usage(std::ostream& os) {
         "                      final snapshot only)\n"
         "  --stop-after N      stop after N units (frontier test hook)\n"
         "  --cache-cells N     prefix-replay cache capacity (default 64)\n"
-        "  --verify-every N    re-execute every N-th dedup skip and rejoin\n"
-        "                      (tripwire)\n"
+        "  --verify-every N    re-execute every N-th dedup skip, rejoin and\n"
+        "                      restored unit (tripwire)\n"
         "  --merge OUT IN...   merge completed shard frontiers into OUT\n"
         "  --no-shrink         keep the first violating script as found\n"
         "  --artifact FILE     counterexample output "
@@ -424,11 +424,16 @@ int main(int argc, char** argv) {
               << result.dedup_skips << " units skipped without simulation)\n"
               << "rejoined units:         " << result.rejoined
               << " (stopped on their base trajectory)\n";
-    if (cfg.dedup_verify_every != 0) {
-      std::cout << "dedup tripwire:         " << result.dedup_verified
-                << " re-executed, " << result.dedup_mismatches
-                << " mismatches\n";
-    }
+  }
+  if (!cfg.naive_rerun) {
+    std::cout << "prefix runs:            " << result.prefix_runs << " ("
+              << result.attempts_skipped
+              << " attempts skipped by restored units)\n";
+  }
+  if (cfg.dedup_verify_every != 0) {
+    std::cout << "dedup tripwire:         " << result.dedup_verified
+              << " re-executed, " << result.dedup_mismatches
+              << " mismatches\n";
   }
   std::cout << "violations found:       " << result.violations.size() << "\n"
             << "aggregate hash:         " << hex(result.aggregate_hash)

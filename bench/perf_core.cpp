@@ -21,7 +21,8 @@
 //     encode/decode);
 //   * check_explore — depth-2 exhaustive explorer placements/sec; its
 //     `work` object (placements, simulated units, rejoins, dedup skips,
-//     probes) is compared exactly by the CI gate;
+//     probes, task prefix runs, attempts skipped by restored units) is
+//     compared exactly by the CI gate;
 //   * trace_overhead — the bus_load workload with the obs recorder off
 //     vs on: the structured-observability emit path (typed event into the
 //     ring + counter adds) must cost <= 5% of hot-path throughput.
@@ -324,13 +325,17 @@ double swim_steady_rate(std::size_t n, std::uint64_t target_deliveries,
 }
 
 /// Deterministic work of one check_explore run: what the explorer
-/// resolved, and how (simulated, rejoined, skipped, probed).
+/// resolved, and how (simulated, rejoined, skipped, probed), plus what
+/// restoring units from checkpoints saved (prefix runs paid, attempts
+/// not re-simulated).
 struct ExploreWork {
   std::uint64_t placements{0};
   std::uint64_t sim_units{0};  ///< units simulated (runs minus probes)
   std::uint64_t rejoined{0};   ///< simulated units stopped on their base
   std::uint64_t dedup_skips{0};
   std::uint64_t probe_runs{0};
+  std::uint64_t prefix_runs{0};       ///< task prefix simulations
+  std::uint64_t attempts_skipped{0};  ///< sum of k over restored units
 
   friend bool operator==(const ExploreWork&, const ExploreWork&) = default;
 
@@ -340,7 +345,9 @@ struct ExploreWork {
          {std::pair{"placements", placements},
           std::pair{"sim_units", sim_units}, std::pair{"rejoined", rejoined},
           std::pair{"dedup_skips", dedup_skips},
-          std::pair{"probe_runs", probe_runs}}) {
+          std::pair{"probe_runs", probe_runs},
+          std::pair{"prefix_runs", prefix_runs},
+          std::pair{"attempts_skipped", attempts_skipped}}) {
       w.set(name, json::Value::integer(static_cast<std::int64_t>(v)));
     }
     return w;
@@ -386,8 +393,9 @@ double check_explore_rate(bool naive, std::size_t threads,
   }
   if (work != nullptr) {
     *work = ExploreWork{result.placements, result.runs - result.probe_runs,
-                        result.rejoined, result.dedup_skips,
-                        result.probe_runs};
+                        result.rejoined,    result.dedup_skips,
+                        result.probe_runs,  result.prefix_runs,
+                        result.attempts_skipped};
   }
   return static_cast<double>(result.placements) / secs;
 }
@@ -588,7 +596,9 @@ int main(int argc, char** argv) {
             << " placements, " << explore_work.sim_units
             << " simulated units (" << explore_work.rejoined
             << " rejoined), " << explore_work.dedup_skips
-            << " dedup skips, " << explore_work.probe_runs << " probes\n";
+            << " dedup skips, " << explore_work.probe_runs << " probes, "
+            << explore_work.prefix_runs << " prefix runs ("
+            << explore_work.attempts_skipped << " attempts skipped)\n";
   std::cout << "  check_explore: scale engine resolves placements "
             << std::setprecision(1)
             << explore_on_s.max / explore_naive_s.max

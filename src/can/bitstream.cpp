@@ -489,10 +489,15 @@ std::size_t count_stuff_bits_reference(std::span<const std::uint8_t> bits) {
 
 namespace {
 
-/// Frame::wire_memo_key layout: bit 63 = valid, bits 35..42 = cached
-/// on-wire bit count (max 147 < 256), bits 0..34 = every field that
-/// feeds serialization (id, format, remote, dlc).  The payload snapshot
-/// lives separately in wire_memo_data.
+/// Wire-length memo entry.  `key` layout: bit 63 = valid, bits 35..42 =
+/// cached on-wire bit count (max 147 < 256), bits 0..34 = every field
+/// that feeds serialization (id, format, remote, dlc); `data` holds the
+/// payload bytes.  A lookup hits only when both match the queried
+/// frame's fields, so the memo can never return another frame's count.
+struct WireMemo {
+  std::uint64_t key{0};
+  std::uint64_t data{0};
+};
 constexpr std::uint64_t kMemoBitsMask = 0xFFULL << 35;
 
 constexpr std::uint64_t memo_key(const Frame& f, std::size_t wire_bits) {
@@ -504,6 +509,20 @@ constexpr std::uint64_t memo_key(const Frame& f, std::size_t wire_bits) {
          (f.id & 0x1FFF'FFFF);
 }
 
+/// Direct-mapped, per thread (no sharing, no locks).  A simulation keeps
+/// a few hundred distinct frame contents in rotation (identifiers are
+/// protocol mids; payloads are membership vectors), while the frames
+/// themselves are fresh copies in every controller queue — so the memo
+/// is keyed on content, not on the Frame object.  4,096 entries (64 KB)
+/// keep collisions between those contents rare.
+constexpr unsigned kMemoBits = 12;
+thread_local std::array<WireMemo, std::size_t{1} << kMemoBits> wire_memo{};
+
+std::size_t memo_slot(std::uint64_t key, std::uint64_t data) {
+  const std::uint64_t h = (key ^ std::rotl(data, 29)) * 0x9E3779B97F4A7C15ULL;
+  return static_cast<std::size_t>(h >> (64 - kMemoBits));
+}
+
 }  // namespace
 
 // canely-lint: hot-path
@@ -512,9 +531,9 @@ std::size_t frame_bits_on_wire(const Frame& frame) {
   std::uint64_t data;
   std::memcpy(&data, frame.data.data(), sizeof data);
   const std::uint64_t key = memo_key(frame, 0);
-  if ((frame.wire_memo_key & ~kMemoBitsMask) == key &&
-      frame.wire_memo_data == data) {
-    return (frame.wire_memo_key >> 35) & 0xFF;
+  WireMemo& memo = wire_memo[memo_slot(key, data)];
+  if ((memo.key & ~kMemoBitsMask) == key && memo.data == data) {
+    return (memo.key >> 35) & 0xFF;
   }
   // Memo miss: serialize and count stuff bits entirely in packed words —
   // never touches a byte-per-bit buffer.
@@ -522,8 +541,8 @@ std::size_t frame_bits_on_wire(const Frame& frame) {
   const std::size_t n = raw_bits_packed(frame, raw);
   const std::size_t wire_bits =
       n + count_stuff_bits_packed(raw, n) + kFrameTailBits;
-  frame.wire_memo_key = memo_key(frame, wire_bits);
-  frame.wire_memo_data = data;
+  memo.key = memo_key(frame, wire_bits);
+  memo.data = data;
   return wire_bits;
 }
 

@@ -102,9 +102,10 @@ std::size_t stuff_into(std::span<const std::uint8_t> bits, std::uint8_t* out);
     std::span<const std::uint8_t> bits);
 
 /// Exact number of bits this frame occupies on the wire, from SOF through
-/// the last EOF bit (intermission NOT included).  Memoized in the frame
-/// (Frame::wire_memo_key): the first call serializes and stuffs, repeat
-/// calls on an unmodified frame are a couple of compares.
+/// the last EOF bit (intermission NOT included).  Memoized in a
+/// per-thread table keyed on every serialized field: the first call for a
+/// frame content serializes and stuffs, repeat calls — on any copy of an
+/// equal frame — are a hash and a couple of compares.
 [[nodiscard]] std::size_t frame_bits_on_wire(const Frame& frame);
 
 /// First stuffed wire bit at which two frames sharing an arbitration key

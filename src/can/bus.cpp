@@ -16,55 +16,55 @@ void Bus::attach(Controller& controller) {
     throw std::logic_error("Bus::attach: duplicate node id");
   }
   controller.set_attach_ordinal(next_ordinal_++);
-  live_.push_back(&controller);  // new ordinal is the maximum: stays sorted
-  live_set_.insert(controller.node());
+  s_.live.push_back(&controller);  // new ordinal is the maximum: stays sorted
+  s_.live_set.insert(controller.node());
   by_node_[controller.node()] = &controller;
 }
 
 void Bus::detach(Controller& controller) {
-  std::erase(live_, &controller);
-  std::erase(contenders_, &controller);
+  std::erase(s_.live, &controller);
+  std::erase(s_.contenders, &controller);
   if (controller.node() < kMaxNodes &&
       by_node_[controller.node()] == &controller) {
     by_node_[controller.node()] = nullptr;
-    live_set_.erase(controller.node());
+    s_.live_set.erase(controller.node());
   }
 }
 
 void Bus::on_liveness_lost(Controller& controller) {
-  live_set_.erase(controller.node());
-  live_stale_ = true;  // compacted at the next arbitration/completion
+  s_.live_set.erase(controller.node());
+  s_.live_stale = true;  // compacted at the next arbitration/completion
 }
 
 void Bus::on_liveness_gained(Controller& controller) {
   // Only bus-off recovery lands here — always from its own engine event,
   // never mid-loop, so compacting and inserting is safe.
   compact_live();
-  live_set_.insert(controller.node());
+  s_.live_set.insert(controller.node());
   const auto pos = std::lower_bound(
-      live_.begin(), live_.end(), &controller,
+      s_.live.begin(), s_.live.end(), &controller,
       [](const Controller* a, const Controller* b) {
         return a->attach_ordinal() < b->attach_ordinal();
       });
-  live_.insert(pos, &controller);
+  s_.live.insert(pos, &controller);
 }
 
 void Bus::set_contender(Controller& controller, bool contending) {
   if (contending) {
-    contenders_.push_back(&controller);
+    s_.contenders.push_back(&controller);
   } else {
     // Swap-remove: contender iteration order carries no semantics.
-    if (const auto it = std::find(contenders_.begin(), contenders_.end(),
+    if (const auto it = std::find(s_.contenders.begin(), s_.contenders.end(),
                                   &controller);
-        it != contenders_.end()) {
-      *it = contenders_.back();
-      contenders_.pop_back();
+        it != s_.contenders.end()) {
+      *it = s_.contenders.back();
+      s_.contenders.pop_back();
     }
   }
 }
 
 void Bus::on_tx_request() {
-  if (!transmitting_) schedule_arbitration();
+  if (!s_.transmitting) schedule_arbitration();
 }
 
 void Bus::set_recorder(obs::Recorder* recorder) {
@@ -126,18 +126,18 @@ void Bus::notify_observer(const TxRecord& rec) {
 }
 
 void Bus::schedule_arbitration() {
-  if (arbitration_scheduled_) return;
-  arbitration_scheduled_ = true;
+  if (s_.arbitration_scheduled) return;
+  s_.arbitration_scheduled = true;
   engine_.schedule_after(sim::Time::zero(), [this] {
-    arbitration_scheduled_ = false;
+    s_.arbitration_scheduled = false;
     begin_arbitration();
   });
 }
 
 // canely-lint: hot-path
 void Bus::begin_arbitration() {
-  if (transmitting_) return;
-  compact_live();  // safe point: no live_ iteration is in flight
+  if (s_.transmitting) return;
+  compact_live();  // safe point: no s_.live iteration is in flight
 
   // Collect the head-of-queue frame of every contender (live controller
   // with queued transmit work — kept current by Controller, so idle and
@@ -149,7 +149,7 @@ void Bus::begin_arbitration() {
   const Frame* winner = nullptr;
   Controller* primary = nullptr;
   sim::Time earliest_suspended = sim::Time::max();
-  for (Controller* c : contenders_) {
+  for (Controller* c : s_.contenders) {
     const Frame* f = c->peek_tx();
     if (f == nullptr) continue;
     if (c->suspended_until() > engine_.now()) {
@@ -169,14 +169,16 @@ void Bus::begin_arbitration() {
       // shorter suspension appears.  (Previously every idle arbitration
       // scheduled a fresh event, so a busy suspended node piled up
       // duplicate no-op retries.)
-      if (!suspend_retry_pending_ || earliest_suspended < suspend_retry_at_) {
-        if (suspend_retry_pending_) engine_.cancel(suspend_retry_event_);
-        suspend_retry_pending_ = true;
-        suspend_retry_at_ = earliest_suspended;
-        suspend_retry_event_ = engine_.schedule_at(earliest_suspended, [this] {
-          suspend_retry_pending_ = false;
-          if (!arbitration_scheduled_) begin_arbitration();
-        });
+      if (!s_.suspend_retry_pending ||
+          earliest_suspended < s_.suspend_retry_at) {
+        if (s_.suspend_retry_pending) engine_.cancel(s_.suspend_retry_event);
+        s_.suspend_retry_pending = true;
+        s_.suspend_retry_at = earliest_suspended;
+        s_.suspend_retry_event =
+            engine_.schedule_at(earliest_suspended, [this] {
+              s_.suspend_retry_pending = false;
+              if (!s_.arbitration_scheduled) begin_arbitration();
+            });
       }
     }
     return;  // bus stays idle
@@ -189,7 +191,7 @@ void Bus::begin_arbitration() {
   NodeSet co;
   bool collision = false;
   std::int32_t divergence_bit = -1;
-  for (Controller* c : contenders_) {
+  for (Controller* c : s_.contenders) {
     const Frame* f = c->peek_tx();
     if (f == nullptr) continue;
     if (c->suspended_until() > engine_.now()) continue;
@@ -208,11 +210,11 @@ void Bus::begin_arbitration() {
 
   // Everyone live and not co-transmitting receives: one bitmap subtraction
   // instead of a per-node scan.
-  const NodeSet receivers = live_set_.minus(co);
+  const NodeSet receivers = s_.live_set.minus(co);
   if (ctr_arbitration_losses_ != nullptr) {
     // A live node with pending, non-suspended transmit work that is not
     // co-transmitting lost this arbitration round.
-    for (Controller* c : contenders_) {
+    for (Controller* c : s_.contenders) {
       if (!co.contains(c->node()) &&
           c->suspended_until() <= engine_.now()) {
         ctr_arbitration_losses_->add_node(c->node());
@@ -220,8 +222,6 @@ void Bus::begin_arbitration() {
     }
   }
 
-  // Memoize the wire length on the queued frame first, so the InFlight
-  // copy (and any retransmission of the same queue entry) inherits it.
   const std::size_t frame_bits = frame_bits_on_wire(*winner);
   const Frame frame = *winner;  // copy: the queue entry may be popped later
   const int attempt = primary->head_attempts();
@@ -238,7 +238,7 @@ void Bus::begin_arbitration() {
     verdict = Verdict::global_error(divergence_bit);
   } else {
     TxContext ctx{frame,   primary->node(), co,
-                  receivers, attempt,        start, tx_index_};
+                  receivers, attempt,        start, s_.tx_index};
     verdict = injector_ != nullptr ? injector_->judge(ctx) : Verdict::ok();
     verdict.victims = verdict.victims.intersected(receivers);
     if (verdict.kind == FaultKind::kNone && receivers.empty()) {
@@ -249,7 +249,7 @@ void Bus::begin_arbitration() {
       verdict.kind = FaultKind::kNone;  // no victims => clean broadcast
     }
   }
-  ++tx_index_;
+  ++s_.tx_index;
 
   std::size_t bits = 0;
   switch (verdict.kind) {
@@ -283,10 +283,10 @@ void Bus::begin_arbitration() {
   const int overloads = std::min(verdict.overloads, 2);
   bits += static_cast<std::size_t>(overloads) *
           (kOverloadFlagBits + kOverloadDelimiterBits);
-  stats_.overload_frames += static_cast<std::uint64_t>(overloads);
+  s_.stats.overload_frames += static_cast<std::uint64_t>(overloads);
 
-  transmitting_ = true;
-  in_flight_ = InFlight{frame,   co,   receivers, verdict,
+  s_.transmitting = true;
+  s_.in_flight = InFlight{frame,   co,   receivers, verdict,
                         start,   bits, attempt,   collision};
   if (recorder_ != nullptr && attempt > 0) {
     ctr_retransmissions_->add_node(primary->node());
@@ -297,10 +297,10 @@ void Bus::begin_arbitration() {
 
 // canely-lint: hot-path
 void Bus::finish_transmission() {
-  transmitting_ = false;
+  s_.transmitting = false;
   // Copy out: controller callbacks may request new transmissions, and the
-  // next begin_arbitration() repopulates in_flight_.
-  const InFlight fx = in_flight_;
+  // next begin_arbitration() repopulates s_.in_flight.
+  const InFlight fx = s_.in_flight;
   if (fx.collision) {
     // Penalize all contenders and count the wasted bus time.
     bool any_alive = false;
@@ -315,10 +315,10 @@ void Bus::finish_transmission() {
         c->bus_rx_error();
       }
     }
-    ++stats_.attempts;
-    ++stats_.collisions;
-    stats_.bits_total += fx.bits;
-    stats_.bits_wasted += fx.bits;
+    ++s_.stats.attempts;
+    ++s_.stats.collisions;
+    s_.stats.bits_total += fx.bits;
+    s_.stats.bits_wasted += fx.bits;
     const TxRecord rec{fx.start, engine_.now(), fx.frame, *fx.co.begin(),
                        fx.co,    {},           TxOutcome::kCollision,
                        fx.bits,  fx.attempt};
@@ -336,7 +336,7 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
                                 NodeSet receivers, Verdict verdict,
                                 sim::Time start, std::size_t bits,
                                 int attempt) {
-  compact_live();  // safe point: no live_ iteration is in flight
+  compact_live();  // safe point: no s_.live iteration is in flight
   // Nodes may have crashed mid-frame; deliver only to the living.  If
   // every co-transmitter died mid-frame the frame was cut short: treat as
   // a global error with no retransmission (the sender is gone) — this is
@@ -346,7 +346,7 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
   // branches below reuse the pointers.
   Controller* alive[kMaxNodes];
   std::size_t n_alive = 0;
-  NodeSet co_alive = co.intersected(live_set_);
+  NodeSet co_alive = co.intersected(s_.live_set);
   for (NodeId id : co_alive) {
     alive[n_alive++] = by_node_[id];
   }
@@ -364,29 +364,29 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
   rec.bits = bits;
   rec.attempt = attempt;
 
-  ++stats_.attempts;
-  stats_.bits_total += bits;
+  ++s_.stats.attempts;
+  s_.stats.bits_total += bits;
 
   switch (verdict.kind) {
     case FaultKind::kNone: {
       rec.outcome = TxOutcome::kOk;
-      ++stats_.ok;
-      stats_.bits_good += bits;
+      ++s_.stats.ok;
+      s_.stats.bits_good += bits;
       // Confirm first (pops the queue head), then indicate to everyone,
       // own transmissions included (§5, Fig. 4).
       for (std::size_t i = 0; i < n_alive; ++i) {
         alive[i]->bus_tx_succeeded(frame);
       }
       // Index loop: a delivery callback may kill another controller
-      // (flagging live_ stale — compacted next frame) but never inserts,
+      // (flagging s_.live stale — compacted next frame) but never inserts,
       // so the bound is fixed and the skip below stays correct.  The
       // delivered set starts as the live-set snapshot and only loses
       // members on a skip — the common full-delivery frame does no
       // per-receiver set work at all.
-      rec.delivered_to = live_set_;
+      rec.delivered_to = s_.live_set;
       if (filter_ == nullptr) {
-        for (std::size_t i = 0; i < live_.size(); ++i) {
-          Controller* c = live_[i];
+        for (std::size_t i = 0; i < s_.live.size(); ++i) {
+          Controller* c = s_.live[i];
           if (!c->alive()) {  // died earlier in this very loop
             rec.delivered_to.erase(c->node());
             continue;
@@ -394,8 +394,8 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
           c->bus_rx_deliver(frame, co_alive.contains(c->node()));
         }
       } else {
-        for (std::size_t i = 0; i < live_.size(); ++i) {
-          Controller* c = live_[i];
+        for (std::size_t i = 0; i < s_.live.size(); ++i) {
+          Controller* c = s_.live[i];
           if (!c->alive()) {
             rec.delivered_to.erase(c->node());
             continue;
@@ -412,8 +412,8 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
     }
     case FaultKind::kGlobalError: {
       rec.outcome = TxOutcome::kError;
-      ++stats_.errors;
-      stats_.bits_wasted += bits;
+      ++s_.stats.errors;
+      s_.stats.bits_wasted += bits;
       for (std::size_t i = 0; i < n_alive; ++i) {
         alive[i]->bus_tx_failed(frame, false);
       }
@@ -426,8 +426,8 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
     }
     case FaultKind::kInconsistentOmission: {
       rec.outcome = TxOutcome::kInconsistent;
-      ++stats_.inconsistent;
-      stats_.bits_wasted += bits;
+      ++s_.stats.inconsistent;
+      s_.stats.bits_wasted += bits;
       // Transmitters observed the error flag in the EOF: they retransmit.
       for (std::size_t i = 0; i < n_alive; ++i) {
         alive[i]->bus_tx_failed(frame, false);
@@ -448,8 +448,8 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
     }
     case FaultKind::kAckError: {
       rec.outcome = TxOutcome::kAckError;
-      ++stats_.ack_errors;
-      stats_.bits_wasted += bits;
+      ++s_.stats.ack_errors;
+      s_.stats.bits_wasted += bits;
       for (std::size_t i = 0; i < n_alive; ++i) {
         alive[i]->bus_tx_failed(frame, true);
       }
@@ -462,7 +462,7 @@ void Bus::complete_transmission(const Frame& frame, NodeSet co,
 
   // Anything still pending (including the retransmission just kept
   // queued)?  The contender list is exactly "live with queued work".
-  if (!contenders_.empty()) schedule_arbitration();
+  if (!s_.contenders.empty()) schedule_arbitration();
 }
 
 void Bus::hash_state(sim::StateHasher& h) const {
@@ -471,20 +471,21 @@ void Bus::hash_state(sim::StateHasher& h) const {
   // instant) — the complete event-source state of the channel.
   //
   // Excluded, deliberately:
-  //  * tx_index_: the global attempt counter only matters to fault-script
+  //  * tx_index: the global attempt counter only matters to fault-script
   //    targeting; the dedup samples universes whose remaining script is
   //    empty past the injection point, so differing counters cannot
   //    change any future behavior.
-  //  * in_flight_: only meaningful while transmitting_ — the checker
+  //  * in_flight: only meaningful while transmitting — the checker
   //    samples inside judge(), before the end-of-frame event exists.
-  //  * stats_, next_ordinal_, live_stale_, live_/contenders_: diagnostics,
-  //    immutable configuration, or values derived from controller state
-  //    (which the controllers hash themselves).
-  h.feed(live_set_.bits());
-  h.feed_bool(transmitting_);
-  h.feed_bool(arbitration_scheduled_);
-  h.feed_bool(suspend_retry_pending_);
-  h.feed_time(suspend_retry_at_);
+  //  * stats, live_stale, live/contenders: diagnostics or values derived
+  //    from controller state (which the controllers hash themselves).
+  // Only State is read: a digest never covers more than a restore
+  // copies.
+  h.feed(s_.live_set.bits());
+  h.feed_bool(s_.transmitting);
+  h.feed_bool(s_.arbitration_scheduled);
+  h.feed_bool(s_.suspend_retry_pending);
+  h.feed_time(s_.suspend_retry_at);
 }
 
 }  // namespace canely::can

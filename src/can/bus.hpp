@@ -112,8 +112,8 @@ class Bus {
     ++observer_generation_;
   }
 
-  [[nodiscard]] const BusStats& stats() const { return stats_; }
-  [[nodiscard]] bool busy() const { return transmitting_; }
+  [[nodiscard]] const BusStats& stats() const { return s_.stats; }
+  [[nodiscard]] bool busy() const { return s_.transmitting; }
 
   /// Canonical channel state for the checker's equivalence dedup
   /// (sim/hash.hpp): liveness set, occupancy/arbitration flags, pending
@@ -146,17 +146,17 @@ class Bus {
 
   /// Introspection for the O(active) regression tests.
   [[nodiscard]] std::size_t live_count() const {
-    return live_set_.size();
+    return s_.live_set.size();
   }
   [[nodiscard]] std::size_t contender_count() const {
-    return contenders_.size();
+    return s_.contenders.size();
   }
 
  private:
   /// The transmission currently occupying the bus.  Kept as a member so
   /// the end-of-frame event is a [this]-only capture (8 bytes, inline in
   /// the engine's slot) instead of a ~90-byte closure; at most one
-  /// transmission is in flight (guarded by transmitting_).
+  /// transmission is in flight (guarded by s_.transmitting).
   struct InFlight {
     Frame frame;
     NodeSet co;
@@ -175,11 +175,11 @@ class Bus {
                              Verdict verdict, sim::Time start,
                              std::size_t bits, int attempt);
 
-  /// Drop dead controllers from live_ once no iteration is in flight.
+  /// Drop dead controllers from s_.live once no iteration is in flight.
   void compact_live() {
-    if (!live_stale_) return;
-    std::erase_if(live_, [](const Controller* c) { return !c->alive(); });
-    live_stale_ = false;
+    if (!s_.live_stale) return;
+    std::erase_if(s_.live, [](const Controller* c) { return !c->alive(); });
+    s_.live_stale = false;
   }
 
   /// `orphaned`: every co-transmitter died mid-frame — the error slot has
@@ -198,31 +198,48 @@ class Bus {
   obs::Counter* ctr_arbitration_losses_{nullptr};
   std::function<void(const TxRecord&)> observer_;
   std::uint64_t observer_generation_{0};  ///< bumped by set_observer()
-  /// Live controllers in attach order — the delivery order.  Dead
-  /// controllers leave lazily (live_stale_ + compact_live()); recovered
-  /// ones re-enter at their attach ordinal.  Every per-frame loop is
-  /// O(live), not O(ever attached).
-  std::vector<Controller*> live_;
-  /// Live controllers with pending transmit work — the only ones the
-  /// arbitration passes look at.  Unordered (the winner is a strict
-  /// (key, node) minimum, so iteration order is immaterial); maintained
-  /// synchronously by Controller::sync_contender.
-  std::vector<Controller*> contenders_;
-  NodeSet live_set_;                          ///< nodes of live controllers
   std::array<Controller*, kMaxNodes> by_node_{};  ///< O(1) node -> controller
   std::uint32_t next_ordinal_{0};
-  bool live_stale_{false};
-  InFlight in_flight_;
-  BusStats stats_;
-  std::uint64_t tx_index_{0};
-  bool transmitting_{false};
-  bool arbitration_scheduled_{false};
-  // All-contenders-suspended retry, coalesced: at most one pending
-  // wake-up, tracked so repeated idle arbitrations don't pile up
-  // duplicate events (each failed arbitration used to schedule another).
-  bool suspend_retry_pending_{false};
-  sim::Time suspend_retry_at_{};
-  sim::EventId suspend_retry_event_{};
+
+ public:
+  /// Every mutable member of the channel, value-typed: checkpoint() and
+  /// restore() are copy-assignments.  Controller pointers name the
+  /// attached controllers, which a restore leaves in place; attaching
+  /// and detaching (construction-time wiring, like the observer and the
+  /// injector) stay outside.
+  struct State {
+    /// Live controllers in attach order — the delivery order.  Dead
+    /// controllers leave lazily (live_stale + compact_live()); recovered
+    /// ones re-enter at their attach ordinal.  Every per-frame loop is
+    /// O(live), not O(ever attached).
+    std::vector<Controller*> live;
+    /// Live controllers with pending transmit work — the only ones the
+    /// arbitration passes look at.  Unordered (the winner is a strict
+    /// (key, node) minimum, so iteration order is immaterial);
+    /// maintained synchronously by Controller::sync_contender.
+    std::vector<Controller*> contenders;
+    NodeSet live_set;  ///< nodes of live controllers
+    bool live_stale{false};
+    InFlight in_flight;
+    BusStats stats;
+    std::uint64_t tx_index{0};
+    bool transmitting{false};
+    bool arbitration_scheduled{false};
+    // All-contenders-suspended retry, coalesced: at most one pending
+    // wake-up, tracked so repeated idle arbitrations don't pile up
+    // duplicate events (each failed arbitration used to schedule
+    // another).
+    bool suspend_retry_pending{false};
+    sim::Time suspend_retry_at{};
+    sim::EventId suspend_retry_event{};
+  };
+
+  void checkpoint(State& out) const { out = s_; }
+  /// Between engine runs only (never mid-frame-callback).
+  void restore(const State& in) { s_ = in; }
+
+ private:
+  State s_;
 };
 
 }  // namespace canely::can

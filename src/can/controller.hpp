@@ -11,7 +11,6 @@
 // omissions.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -64,7 +63,7 @@ class Controller {
   /// idle bit-times).  Disabled by default — CANELy's weak-fail-silent
   /// enforcement (§4) treats bus-off as a crash; recovery is an
   /// application decision.
-  void enable_bus_off_recovery(bool enable) { auto_recovery_ = enable; }
+  void enable_bus_off_recovery(bool enable) { s_.auto_recovery = enable; }
   ~Controller();
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
@@ -102,32 +101,32 @@ class Controller {
   /// Inline fast path: the common no-filter configuration costs one
   /// emptiness check per delivery (hot: once per node per frame).
   [[nodiscard]] bool accepts(std::uint32_t id) const {
-    return filters_.empty() || accepts_filtered(id);
+    return s_.filters.empty() || accepts_filtered(id);
   }
 
-  [[nodiscard]] std::size_t tx_queue_depth() const { return queue_.size(); }
+  [[nodiscard]] std::size_t tx_queue_depth() const { return s_.queue.size(); }
 
   // -- failure semantics ----------------------------------------------------
 
   /// Fail-silent crash: the controller goes mute instantly and forever.
   void crash();
-  [[nodiscard]] bool crashed() const { return crashed_; }
+  [[nodiscard]] bool crashed() const { return s_.crashed; }
 
   /// True when the controller takes part in bus traffic.
   [[nodiscard]] bool alive() const {
-    return !crashed_ && state_ != ErrorState::kBusOff;
+    return !s_.crashed && s_.error_state != ErrorState::kBusOff;
   }
 
   // -- fault confinement state ----------------------------------------------
 
-  [[nodiscard]] ErrorState error_state() const { return state_; }
-  [[nodiscard]] int tec() const { return tec_; }
-  [[nodiscard]] int rec() const { return rec_; }
+  [[nodiscard]] ErrorState error_state() const { return s_.error_state; }
+  [[nodiscard]] int tec() const { return s_.tec; }
+  [[nodiscard]] int rec() const { return s_.rec; }
 
   /// ISO 11898 suspend transmission: an error-passive node must wait 8
   /// extra bit-times after transmitting before contending again.  The bus
   /// skips this controller in arbitrations before this instant.
-  [[nodiscard]] sim::Time suspended_until() const { return suspended_until_; }
+  [[nodiscard]] sim::Time suspended_until() const { return s_.suspended_until; }
 
   // -- bus-facing interface (used by Bus only) --------------------------------
 
@@ -135,13 +134,13 @@ class Controller {
   /// nothing to offer in the next arbitration round.  Inline: called for
   /// every contender in every arbitration pass.
   [[nodiscard]] const Frame* peek_tx() const {
-    if (queue_.empty() || !alive()) return nullptr;
-    return &queue_.front().frame;
+    if (s_.queue.empty() || !alive()) return nullptr;
+    return &s_.queue.front().frame;
   }
 
   /// Retransmission attempts already made for the queue head.
   [[nodiscard]] int head_attempts() const {
-    return queue_.empty() ? 0 : queue_.front().attempts;
+    return s_.queue.empty() ? 0 : s_.queue.front().attempts;
   }
 
   /// Attach-order ordinal, assigned once by Bus::attach.  Orders the
@@ -169,11 +168,11 @@ class Controller {
   void bus_rx_deliver(const Frame& frame, bool own) {
     // canely-lint: nondeterministic-ok(client seam: the socketcan gateway implements ControllerClient only under the real-time runner; sim runs bind deterministic clients)
     if (!own) {
-      if (rec_ != 0) bump_rec(-1);
+      if (s_.rec != 0) bump_rec(-1);
       // Acceptance filtering happens after the frame is validated (the
       // controller still acknowledged it); own transmissions bypass
       // filters, as real controllers' self-reception paths do.
-      if (!filters_.empty() && !accepts_filtered(frame.id)) return;
+      if (!s_.filters.empty() && !accepts_filtered(frame.id)) return;
     }
     if (client_ != nullptr) client_->on_rx(frame, own);
   }
@@ -212,17 +211,32 @@ class Controller {
   ControllerClient* client_{nullptr};
   obs::Recorder* recorder_{nullptr};
   obs::Counter* ctr_tx_failures_{nullptr};
-  std::vector<AcceptanceFilter> filters_;
-  std::deque<PendingTx> queue_;  // kept sorted by (arbitration key, seq)
-  std::uint64_t next_seq_{1};
-  int tec_{0};
-  int rec_{0};
-  ErrorState state_{ErrorState::kErrorActive};
-  bool crashed_{false};
-  bool auto_recovery_{false};
-  bool contender_{false};  ///< mirrored in Bus's contender list
   std::uint32_t attach_ordinal_{0};
-  sim::Time suspended_until_{sim::Time::zero()};
+
+ public:
+  /// Every mutable member of the controller, value-typed: checkpoint()
+  /// and restore() are copy-assignments.  The node id, the bus, the
+  /// client and the attach ordinal are construction-time wiring.
+  struct State {
+    std::vector<AcceptanceFilter> filters;
+    std::vector<PendingTx> queue;  // kept sorted by (arbitration key, seq)
+    std::uint64_t next_seq{1};
+    int tec{0};
+    int rec{0};
+    ErrorState error_state{ErrorState::kErrorActive};
+    bool crashed{false};
+    bool auto_recovery{false};
+    bool contender{false};  ///< mirrored in Bus's contender list
+    sim::Time suspended_until{sim::Time::zero()};
+  };
+
+  void checkpoint(State& out) const { out = s_; }
+  /// Between engine runs only, together with the bus it is attached to
+  /// (the bus mirrors liveness and contention).
+  void restore(const State& in) { s_ = in; }
+
+ private:
+  State s_;
 };
 
 }  // namespace canely::can

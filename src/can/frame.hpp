@@ -34,15 +34,6 @@ struct Frame {
   std::uint8_t dlc{0};          ///< data length code, 0..8
   std::array<std::uint8_t, kMaxData> data{};
 
-  /// Memoized on-wire length, maintained by frame_bits_on_wire()
-  /// (bitstream.cpp).  The key packs every serialized field plus the
-  /// cached bit count; `wire_memo_data` snapshots the payload.  A lookup
-  /// only hits when both match the frame's current fields, so mutating a
-  /// frame after a length query can never return a stale count.  0 = not
-  /// yet computed.  Ignored by operator== and never serialized.
-  mutable std::uint64_t wire_memo_key{0};
-  mutable std::uint64_t wire_memo_data{0};
-
   [[nodiscard]] static Frame make_data(std::uint32_t id, std::span<const std::uint8_t> payload,
                                         IdFormat format = IdFormat::kBase);
   [[nodiscard]] static Frame make_remote(std::uint32_t id, std::uint8_t dlc = 0,
@@ -67,5 +58,6 @@ struct Frame {
 
   friend std::ostream& operator<<(std::ostream& os, const Frame& f);
 };
+static_assert(sizeof(Frame) == 16, "a frame is its serialized fields only");
 
 }  // namespace canely::can

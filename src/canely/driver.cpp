@@ -26,19 +26,19 @@ std::size_t CanDriver::can_abort_req(const Mid& mid) {
 }
 
 void CanDriver::on_data_ind(MsgType type, DataIndHandler handler) {
-  data_ind_[slot(type)] = std::move(handler);
+  put(kDataInd, type, data_ind_, std::move(handler));
 }
 
 void CanDriver::on_rtr_ind(MsgType type, RtrIndHandler handler) {
-  rtr_ind_[slot(type)] = std::move(handler);
+  put(kRtrInd, type, rtr_ind_, std::move(handler));
 }
 
 void CanDriver::on_data_cnf(MsgType type, CnfHandler handler) {
-  data_cnf_[slot(type)] = std::move(handler);
+  put(kDataCnf, type, data_cnf_, std::move(handler));
 }
 
 void CanDriver::on_rtr_cnf(MsgType type, CnfHandler handler) {
-  rtr_cnf_[slot(type)] = std::move(handler);
+  put(kRtrCnf, type, rtr_cnf_, std::move(handler));
 }
 
 void CanDriver::on_data_nty(DataNtyHandler handler) {
@@ -49,12 +49,14 @@ void CanDriver::on_rx(const can::Frame& frame, bool own) {
   const auto mid = Mid::decode(frame);
   if (!mid.has_value()) return;  // non-CANELy traffic
   if (frame.remote) {
-    if (auto& h = rtr_ind_[slot(mid->type)]; h) h(*mid, own);
+    if (auto* h = find(kRtrInd, mid->type, rtr_ind_)) (*h)(*mid, own);
   } else {
     // The .nty extension fires for every data frame, before the data
     // indication, own transmissions included (§5, §6.3).
     for (auto& h : data_nty_) h(*mid);
-    if (auto& h = data_ind_[slot(mid->type)]; h) h(*mid, frame.payload(), own);
+    if (auto* h = find(kDataInd, mid->type, data_ind_)) {
+      (*h)(*mid, frame.payload(), own);
+    }
   }
 }
 
@@ -62,9 +64,9 @@ void CanDriver::on_tx_confirm(const can::Frame& frame) {
   const auto mid = Mid::decode(frame);
   if (!mid.has_value()) return;
   if (frame.remote) {
-    if (auto& h = rtr_cnf_[slot(mid->type)]; h) h(*mid);
+    if (auto* h = find(kRtrCnf, mid->type, rtr_cnf_)) (*h)(*mid);
   } else {
-    if (auto& h = data_cnf_[slot(mid->type)]; h) h(*mid);
+    if (auto* h = find(kDataCnf, mid->type, data_cnf_)) (*h)(*mid);
   }
 }
 

@@ -91,12 +91,39 @@ class CanDriver final : public can::ControllerClient {
   static constexpr std::size_t kTypeSlots = 32;
   static std::size_t slot(MsgType t) { return static_cast<std::size_t>(t) % kTypeSlots; }
 
+  /// The four per-type handler kinds, indexing index_.
+  enum Kind : std::size_t { kDataInd, kRtrInd, kDataCnf, kRtrCnf, kKinds };
+
+  /// Register `handler` for (`kind`, `type`) in `table`, replacing an
+  /// earlier one for the same pair.
+  template <typename Handler>
+  void put(Kind kind, MsgType type, std::vector<Handler>& table,
+           Handler handler) {
+    std::uint8_t& at = index_[kind][slot(type)];
+    if (at == 0) {
+      table.push_back(std::move(handler));
+      at = static_cast<std::uint8_t>(table.size());
+    } else {
+      table[at - 1] = std::move(handler);
+    }
+  }
+
+  /// The handler registered for (`kind`, `type`), or null.
+  template <typename Handler>
+  Handler* find(Kind kind, MsgType type, std::vector<Handler>& table) {
+    const std::uint8_t at = index_[kind][slot(type)];
+    return at != 0 && table[at - 1] ? &table[at - 1] : nullptr;
+  }
+
   can::Controller& controller_;
   sim::Engine& engine_;
-  std::array<DataIndHandler, kTypeSlots> data_ind_{};
-  std::array<RtrIndHandler, kTypeSlots> rtr_ind_{};
-  std::array<CnfHandler, kTypeSlots> data_cnf_{};
-  std::array<CnfHandler, kTypeSlots> rtr_cnf_{};
+  /// Per kind and type slot: 1 + the handler's position in its table,
+  /// 0 = none.  Only the handlers a node registers (about ten) exist.
+  std::array<std::array<std::uint8_t, kTypeSlots>, kKinds> index_{};
+  std::vector<DataIndHandler> data_ind_;
+  std::vector<RtrIndHandler> rtr_ind_;
+  std::vector<CnfHandler> data_cnf_;
+  std::vector<CnfHandler> rtr_cnf_;
   std::vector<DataNtyHandler> data_nty_;
   std::function<void()> bus_off_;
 };

@@ -26,7 +26,7 @@ FailureDetector::FailureDetector(CanDriver& driver, sim::TimerService& timers,
 }
 
 void FailureDetector::fd_can_req_start(can::NodeId r) {
-  monitored_[r] = true;
+  s_.monitored[r] = true;
   if (recorder_ != nullptr) {
     obs::Event ev;
     ev.when = driver_.engine().now();
@@ -34,15 +34,15 @@ void FailureDetector::fd_can_req_start(can::NodeId r) {
     ev.node = driver_.node();
     ev.u.peer = {r};
     recorder_->emit(ev);
-    if (r == driver_.node()) els_credit_ = driver_.engine().now();
+    if (r == driver_.node()) s_.els_credit = driver_.engine().now();
   }
   fd_alarm_start(r);  // f00-f01
 }
 
 void FailureDetector::fd_can_req_stop(can::NodeId r) {
-  monitored_[r] = false;
-  timers_.cancel_alarm(tid_[r]);  // f17-f18
-  tid_[r] = sim::kNullTimer;
+  s_.monitored[r] = false;
+  timers_.cancel_alarm(s_.tid[r]);  // f17-f18
+  s_.tid[r] = sim::kNullTimer;
   if (r == driver_.node()) {
     // Withdraw a still-pending explicit life-sign: a node whose self-
     // surveillance stops (it left, or was expelled) must not leave an
@@ -58,9 +58,9 @@ void FailureDetector::fd_alarm_start(can::NodeId r) {
           ? params_.heartbeat_period                              // a02
           : params_.heartbeat_period + params_.tx_delay_bound +   // a04
                 params_.fd_skew_quantum * driver_.node();         // osc. skew
-  if (timers_.restart_alarm(tid_[r], duration)) return;  // f04
-  tid_[r] = timers_.start_alarm(duration, [this, r] {
-    tid_[r] = sim::kNullTimer;
+  if (timers_.restart_alarm(s_.tid[r], duration)) return;  // f04
+  s_.tid[r] = timers_.start_alarm(duration, [this, r] {
+    s_.tid[r] = sim::kNullTimer;
     on_expiry(r);
   });
 }
@@ -70,7 +70,7 @@ void FailureDetector::on_activity(can::NodeId r, bool implicit) {
   // (Activity of nodes the service was not started for is ignored —
   // starting/stopping surveillance is the upper layer's decision,
   // lines f00/f17.)
-  if (!monitored_[r]) return;
+  if (!s_.monitored[r]) return;
   // Fig. 10 accounting, counted once system-wide at the originator's own
   // detector (every data frame loops back to its sender):
   // `heartbeat.implicit` is every data frame that doubled as a life-sign;
@@ -80,10 +80,11 @@ void FailureDetector::on_activity(can::NodeId r, bool implicit) {
   if (implicit && r == driver_.node() && recorder_ != nullptr) {
     ctr_heartbeat_implicit_->add_node(r);
     const sim::Time now = driver_.engine().now();
-    const std::int64_t periods = (now - els_credit_) / params_.heartbeat_period;
+    const std::int64_t periods =
+        (now - s_.els_credit) / params_.heartbeat_period;
     if (periods >= 1) {
       ctr_els_suppressed_->add_node(r, static_cast<std::uint64_t>(periods));
-      els_credit_ = now;
+      s_.els_credit = now;
     }
   }
   fd_alarm_start(r);
@@ -106,7 +107,7 @@ void FailureDetector::on_expiry(can::NodeId r) {
     // timer is re-armed HERE, unconditionally: if the ELS never loops
     // back, the next expiry retries the life-sign instead of leaving the
     // node silent until its peers falsely suspect it.
-    ++els_sent_;
+    ++s_.els_sent;
     if (recorder_ != nullptr) {
       obs::Event ev;
       ev.when = driver_.engine().now();
@@ -115,7 +116,7 @@ void FailureDetector::on_expiry(can::NodeId r) {
       ev.u.peer = {r};
       recorder_->emit(ev);
       ctr_els_sent_->add_node(r);
-      els_credit_ = driver_.engine().now();
+      s_.els_credit = driver_.engine().now();
     }
     driver_.can_rtr_req(Mid{MsgType::kEls, 0, r});
     fd_alarm_start(r);
@@ -138,9 +139,9 @@ void FailureDetector::on_expiry(can::NodeId r) {
 void FailureDetector::on_fda_nty(can::NodeId r) {
   // f13-f16: an agreed failure-sign arrived (possibly before our own timer
   // expired): stop surveillance and notify the membership layer.
-  timers_.cancel_alarm(tid_[r]);
-  tid_[r] = sim::kNullTimer;
-  monitored_[r] = false;
+  timers_.cancel_alarm(s_.tid[r]);
+  s_.tid[r] = sim::kNullTimer;
+  s_.monitored[r] = false;
   if (nty_) nty_(r);  // f15
 }
 

@@ -47,17 +47,17 @@ class FailureDetector {
   /// fd-can.nty — consistent node-failure notification (line f15).
   void set_nty_handler(NtyHandler handler) { nty_ = std::move(handler); }
 
-  [[nodiscard]] bool monitoring(can::NodeId r) const { return monitored_[r]; }
+  [[nodiscard]] bool monitoring(can::NodeId r) const { return s_.monitored[r]; }
 
   /// Count of explicit life-signs this node has broadcast (diagnostics —
   /// the bandwidth evaluation of Fig. 10 cares about this number).
-  [[nodiscard]] std::uint64_t els_sent() const { return els_sent_; }
+  [[nodiscard]] std::uint64_t els_sent() const { return s_.els_sent; }
 
   /// Canonical surveillance state for the checker's equivalence dedup:
   /// per-node monitored flag + alarm deadline.  Raw timer ids are
   /// allocation-order handles and deliberately not fed; the deadline is
   /// Time::max() for inactive alarms, so activeness is covered.
-  /// els_sent_ / els_credit_ are excluded — pure diagnostics feeding obs
+  /// s_.els_sent / s_.els_credit are excluded — pure diagnostics feeding obs
   /// counters, never read back by the protocol.
   ///
   /// Sparse feed over every id below kMaxNodes: the count of ids not in
@@ -69,8 +69,8 @@ class FailureDetector {
     static_assert(can::kMaxNodes <= 64, "one mask bit per id");
     std::uint64_t live = 0;  // ids not in the default (false, max) state
     for (std::size_t r = 0; r < can::kMaxNodes; ++r) {
-      if (monitored_[r] || (tid_[r] != sim::kNullTimer &&
-                            timers_.deadline(tid_[r]) != sim::Time::max())) {
+      if (s_.monitored[r] || (s_.tid[r] != sim::kNullTimer &&
+                            timers_.deadline(s_.tid[r]) != sim::Time::max())) {
         live |= std::uint64_t{1} << r;
       }
     }
@@ -78,8 +78,8 @@ class FailureDetector {
     for (std::uint64_t m = live; m != 0; m &= m - 1) {
       const auto r = static_cast<std::size_t>(std::countr_zero(m));
       h.feed(r);
-      h.feed_bool(monitored_[r]);
-      h.feed_time(timers_.deadline(tid_[r]));
+      h.feed_bool(s_.monitored[r]);
+      h.feed_time(timers_.deadline(s_.tid[r]));
     }
   }
 
@@ -99,12 +99,26 @@ class FailureDetector {
   obs::Counter* ctr_heartbeat_implicit_{nullptr};
   obs::Counter* ctr_suspicions_{nullptr};
   NtyHandler nty_;
-  std::array<sim::TimerId, can::kMaxNodes> tid_{};   // i00
-  std::array<bool, can::kMaxNodes> monitored_{};
-  std::uint64_t els_sent_{0};
-  /// Start of the current explicit-life-sign accounting window (obs:
-  /// els.suppressed credits one avoided ELS per Th of implicit coverage).
-  sim::Time els_credit_{};
+
+ public:
+  /// Every mutable member of the detector, value-typed: checkpoint() and
+  /// restore() are copy-assignments.  Timer ids name alarms of the
+  /// node's TimerService, restored alongside.
+  struct State {
+    std::array<sim::TimerId, can::kMaxNodes> tid{};  // i00
+    std::array<bool, can::kMaxNodes> monitored{};
+    std::uint64_t els_sent{0};
+    /// Start of the current explicit-life-sign accounting window (obs:
+    /// els.suppressed credits one avoided ELS per Th of implicit
+    /// coverage).
+    sim::Time els_credit{};
+  };
+
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
+ private:
+  State s_;
 };
 
 }  // namespace canely

@@ -14,7 +14,7 @@ FdaProtocol::FdaProtocol(CanDriver& driver, obs::Recorder* recorder)
 
 void FdaProtocol::fda_can_req(can::NodeId failed) {
   // Sender, lines s00-s05: issue a single transmit request per mid.
-  int& nreq = fs_nreq_[failed];
+  int& nreq = s_.fs_nreq[failed];
   nreq += 1;
   if (nreq == 1) {
     if (recorder_ != nullptr) {
@@ -35,10 +35,10 @@ void FdaProtocol::on_rtr_ind(const Mid& mid) {
   // (can-rtr.ind includes them), so the original sender delivers its own
   // notification through the same path.
   const can::NodeId failed = mid.node;
-  int& ndup = fs_ndup_[failed];
+  int& ndup = s_.fs_ndup[failed];
   ndup += 1;                     // r01
   if (ndup != 1) return;         // duplicates are absorbed
-  ++ntys_;
+  ++s_.ntys;
   if (recorder_ != nullptr) {
     obs::Event ev;
     ev.when = driver_.engine().now();
@@ -50,8 +50,8 @@ void FdaProtocol::on_rtr_ind(const Mid& mid) {
   }
   if (nty_) nty_(failed);        // r03: fda-can.nty delivery
   if (nty_obs_) nty_obs_(failed);
-  if (!agreement_) return;       // ablation: deliver but never echo
-  int& nreq = fs_nreq_[failed];
+  if (!s_.agreement) return;       // ablation: deliver but never echo
+  int& nreq = s_.fs_nreq[failed];
   nreq += 1;                     // r04
   if (nreq == 1) {
     driver_.can_rtr_req(Mid{MsgType::kFda, 0, failed});  // r06: retransmit
@@ -59,8 +59,8 @@ void FdaProtocol::on_rtr_ind(const Mid& mid) {
 }
 
 void FdaProtocol::reset(can::NodeId node) {
-  fs_ndup_[node] = 0;
-  fs_nreq_[node] = 0;
+  s_.fs_ndup[node] = 0;
+  s_.fs_nreq[node] = 0;
   // Drop any still-pending failure-sign for the reintegrated node.
   driver_.can_abort_req(Mid{MsgType::kFda, 0, node});
 }

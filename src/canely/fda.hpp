@@ -50,8 +50,8 @@ class FdaProtocol {
   /// A failure-sign lost to an inconsistent omission whose sender crashes
   /// then stays lost at the victims; src/check uses this to demonstrate
   /// the resulting membership split.  Normal deployments leave it on.
-  void set_agreement(bool enabled) { agreement_ = enabled; }
-  [[nodiscard]] bool agreement() const { return agreement_; }
+  void set_agreement(bool enabled) { s_.agreement = enabled; }
+  [[nodiscard]] bool agreement() const { return s_.agreement; }
 
   /// Forget a previously agreed failure-sign so a reintegrated node can be
   /// detected again.  The paper assumes a removed node does not attempt
@@ -60,15 +60,15 @@ class FdaProtocol {
   void reset(can::NodeId node);
 
   /// Counters exposed for tests (Fig. 6 state).
-  [[nodiscard]] int fs_ndup(can::NodeId r) const { return fs_ndup_[r]; }
-  [[nodiscard]] int fs_nreq(can::NodeId r) const { return fs_nreq_[r]; }
+  [[nodiscard]] int fs_ndup(can::NodeId r) const { return s_.fs_ndup[r]; }
+  [[nodiscard]] int fs_nreq(can::NodeId r) const { return s_.fs_nreq[r]; }
 
   /// Failure-signs delivered upward at this node (diagnostics).
-  [[nodiscard]] std::uint64_t ntys_delivered() const { return ntys_; }
+  [[nodiscard]] std::uint64_t ntys_delivered() const { return s_.ntys; }
 
   /// Canonical protocol state for the checker's equivalence dedup: the
-  /// per-mid duplicate/request counters of Fig. 6.  ntys_ is excluded
-  /// (diagnostic count); agreement_ is excluded (immutable scenario
+  /// per-mid duplicate/request counters of Fig. 6.  s_.ntys is excluded
+  /// (diagnostic count); s_.agreement is excluded (immutable scenario
   /// configuration, identical across all placements of one exploration).
   ///
   /// Sparse feed over every id below kMaxNodes: the count of mids with a
@@ -79,7 +79,7 @@ class FdaProtocol {
     static_assert(can::kMaxNodes <= 64, "one mask bit per id");
     std::uint64_t active = 0;  // ids with a non-zero counter
     for (std::size_t r = 0; r < can::kMaxNodes; ++r) {
-      if (fs_ndup_[r] != 0 || fs_nreq_[r] != 0) {
+      if (s_.fs_ndup[r] != 0 || s_.fs_nreq[r] != 0) {
         active |= std::uint64_t{1} << r;
       }
     }
@@ -87,8 +87,8 @@ class FdaProtocol {
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
       const auto r = static_cast<std::size_t>(std::countr_zero(m));
       h.feed(r);
-      h.feed(static_cast<std::uint64_t>(fs_ndup_[r]));
-      h.feed(static_cast<std::uint64_t>(fs_nreq_[r]));
+      h.feed(static_cast<std::uint64_t>(s_.fs_ndup[r]));
+      h.feed(static_cast<std::uint64_t>(s_.fs_nreq[r]));
     }
   }
 
@@ -101,11 +101,23 @@ class FdaProtocol {
   obs::Counter* ctr_ntys_{nullptr};
   NtyHandler nty_;
   NtyHandler nty_obs_;
-  bool agreement_{true};
-  // Per-mid state; the FDA mid is fully determined by the failed node id.
-  std::array<int, can::kMaxNodes> fs_ndup_{};  // failure-sign duplicates (i00)
-  std::array<int, can::kMaxNodes> fs_nreq_{};  // transmit requests (i01)
-  std::uint64_t ntys_{0};
+
+ public:
+  /// Every mutable member of the protocol, value-typed: checkpoint() and
+  /// restore() are copy-assignments.
+  struct State {
+    bool agreement{true};
+    // Per-mid state; the FDA mid is fully determined by the failed node.
+    std::array<int, can::kMaxNodes> fs_ndup{};  // failure-sign dups (i00)
+    std::array<int, can::kMaxNodes> fs_nreq{};  // transmit requests (i01)
+    std::uint64_t ntys{0};
+  };
+
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
+ private:
+  State s_;
 };
 
 }  // namespace canely

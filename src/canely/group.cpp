@@ -25,7 +25,7 @@ void GroupMembership::leave_group(GroupId group) {
 
 void GroupMembership::on_announce(const Mid& mid, bool joining) {
   const GroupId group = mid.ref;
-  can::NodeSet& members = announced_[group];
+  can::NodeSet& members = s_.announced[group];
   const can::NodeSet before = members.intersected(site_.view());
   if (joining) {
     members.insert(mid.node);
@@ -33,7 +33,7 @@ void GroupMembership::on_announce(const Mid& mid, bool joining) {
     members.erase(mid.node);
   }
   const can::NodeSet after = members.intersected(site_.view());
-  if (members.empty()) announced_.erase(group);
+  if (members.empty()) s_.announced.erase(group);
   if (after != before) notify(group);
 }
 
@@ -41,8 +41,8 @@ void GroupMembership::on_site_change(can::NodeSet active,
                                      can::NodeSet /*failed*/) {
   // A site change may shrink (failure/leave) or grow (rejoin) any group
   // view; notify every group whose effective view changed.
-  // Ascending group id, as announced_ holds only non-empty sets.
-  for (const auto& [g, members] : announced_) {
+  // Ascending group id, as s_.announced holds only non-empty sets.
+  for (const auto& [g, members] : s_.announced) {
     // The effective view uses the *current* site view; report groups that
     // intersect the delta.
     if (!members.intersected(active).empty() ||

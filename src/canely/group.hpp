@@ -55,8 +55,8 @@ class GroupMembership {
 
   /// Current view of `group`: announced members that are live sites.
   [[nodiscard]] can::NodeSet group_view(GroupId group) const {
-    const auto it = announced_.find(group);
-    return it == announced_.end() ? can::NodeSet{}
+    const auto it = s_.announced.find(group);
+    return it == s_.announced.end() ? can::NodeSet{}
                                   : it->second.intersected(site_.view());
   }
 
@@ -76,10 +76,10 @@ class GroupMembership {
   /// Canonical state for the checker's equivalence dedup: the non-empty
   /// announcement sets, index-framed (the count feed keeps a sparse table
   /// from aliasing with a different sparse table of equal total bits).
-  /// announced_ holds exactly the non-empty sets, in ascending group id.
+  /// s_.announced holds exactly the non-empty sets, in ascending group id.
   void hash_state(sim::StateHasher& h) const {
-    h.feed(announced_.size());
-    for (const auto& [g, set] : announced_) {
+    h.feed(s_.announced.size());
+    for (const auto& [g, set] : s_.announced) {
       h.feed(g);
       h.feed(set.bits());
     }
@@ -92,10 +92,22 @@ class GroupMembership {
   CanDriver& driver_;
   MembershipService& site_;
   GroupChangeHandler on_change_;
-  /// Who has announced membership of each group (gated by the site view
-  /// on read): only the non-empty sets, keyed by ascending group id, so
-  /// a node in no group builds, scans and hashes nothing.
-  std::map<GroupId, can::NodeSet> announced_;
+
+ public:
+  /// Every mutable member of the endpoint, value-typed: checkpoint() and
+  /// restore() are copy-assignments.
+  struct State {
+    /// Who has announced membership of each group (gated by the site
+    /// view on read): only the non-empty sets, keyed by ascending group
+    /// id, so a node in no group builds, scans and hashes nothing.
+    std::map<GroupId, can::NodeSet> announced;
+  };
+
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
+ private:
+  State s_;
 };
 
 }  // namespace canely

@@ -52,7 +52,7 @@ class MembershipService {
 
   /// msh-can.req(GET) — the current view, net of already-notified
   /// failures (R_F − F_F).
-  [[nodiscard]] can::NodeSet view() const { return rf_.minus(ff_); }
+  [[nodiscard]] can::NodeSet view() const { return s_.rf.minus(s_.ff); }
 
   [[nodiscard]] bool is_member() const {
     return view().contains(driver_.node());
@@ -62,7 +62,7 @@ class MembershipService {
     change_ = std::move(handler);
   }
 
-  /// Observer fired every time a view is actually installed (views_
+  /// Observer fired every time a view is actually installed (s_.views
   /// increments), with the new R_F.  External checkers compare these
   /// install sequences across nodes; change notifications are unsuitable
   /// because they also fire for failure amendments within a cycle.
@@ -72,25 +72,25 @@ class MembershipService {
   }
 
   // Introspection for tests (protocol data sets of Fig. 9, i01).
-  [[nodiscard]] can::NodeSet rf() const { return rf_; }
-  [[nodiscard]] can::NodeSet rj() const { return rj_; }
-  [[nodiscard]] can::NodeSet rl() const { return rl_; }
-  [[nodiscard]] can::NodeSet ff() const { return ff_; }
-  [[nodiscard]] std::uint64_t views_installed() const { return views_; }
+  [[nodiscard]] can::NodeSet rf() const { return s_.rf; }
+  [[nodiscard]] can::NodeSet rj() const { return s_.rj; }
+  [[nodiscard]] can::NodeSet rl() const { return s_.rl; }
+  [[nodiscard]] can::NodeSet ff() const { return s_.ff; }
+  [[nodiscard]] std::uint64_t views_installed() const { return s_.views; }
 
   /// Canonical protocol state for the checker's equivalence dedup: the
   /// Fig. 9 data sets, the cycle-timer deadline, and the service/
-  /// re-entrancy flags.  views_ and pending_cycles_ are excluded — they
+  /// re-entrancy flags.  s_.views and s_.pending_cycles are excluded — they
   /// only feed diagnostics and obs histograms, never a protocol branch.
   void hash_state(sim::StateHasher& h) const {
-    h.feed(rf_.bits());
-    h.feed(rj_.bits());
-    h.feed(rjp_.bits());
-    h.feed(rl_.bits());
-    h.feed(ff_.bits());
-    h.feed_time(timers_.deadline(tid_));
-    h.feed_bool(started_);
-    h.feed_bool(in_cycle_);
+    h.feed(s_.rf.bits());
+    h.feed(s_.rj.bits());
+    h.feed(s_.rjp.bits());
+    h.feed(s_.rl.bits());
+    h.feed(s_.ff.bits());
+    h.feed_time(timers_.deadline(s_.tid));
+    h.feed_bool(s_.started);
+    h.feed_bool(s_.in_cycle);
   }
 
  private:
@@ -118,18 +118,31 @@ class MembershipService {
   ChangeHandler change_;
   ViewObserver view_obs_;
 
-  can::NodeSet rf_;   // full members (the view)
-  can::NodeSet rj_;   // joining
-  can::NodeSet rjp_;  // auxiliary joining set (footnote 10: 2-cycle prune)
-  can::NodeSet rl_;   // leaving
-  can::NodeSet ff_;   // failed during the current cycle
-  sim::TimerId tid_{sim::kNullTimer};
-  bool started_{false};   // service running at this node (join was called)
-  bool in_cycle_{false};  // re-entrancy guard (rha INIT during cycle())
-  std::uint64_t views_{0};
-  /// Cycles elapsed since a join/leave request first went pending; sampled
-  /// into msh.settle_cycles at the view install that absorbs it (-1: idle).
-  int pending_cycles_{-1};
+
+ public:
+  /// Every mutable member of the service, value-typed: checkpoint() and
+  /// restore() are copy-assignments.
+  struct State {
+    can::NodeSet rf;   // full members (the view)
+    can::NodeSet rj;   // joining
+    can::NodeSet rjp;  // auxiliary joining set (footnote 10: 2-cycle prune)
+    can::NodeSet rl;   // leaving
+    can::NodeSet ff;   // failed during the current cycle
+    sim::TimerId tid{sim::kNullTimer};
+    bool started{false};   // service running at this node (join was called)
+    bool in_cycle{false};  // re-entrancy guard (rha INIT during cycle())
+    std::uint64_t views{0};
+    /// Cycles elapsed since a join/leave request first went pending;
+    /// sampled into msh.settle_cycles at the view install that absorbs
+    /// it (-1: idle).
+    int pending_cycles{-1};
+  };
+
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
+ private:
+  State s_;
 };
 
 }  // namespace canely

@@ -53,13 +53,13 @@ void Node::leave() {
 }
 
 void Node::send(std::uint8_t stream, std::span<const std::uint8_t> data) {
-  if (crashed_) return;
+  if (s_.crashed) return;
   driver_.can_data_req(Mid{MsgType::kApp, stream, id()}, data);
 }
 
 void Node::start_periodic(std::uint8_t stream, sim::Time period,
                           std::vector<std::uint8_t> payload) {
-  PeriodicStream& s = periodic_[stream];
+  PeriodicStream& s = s_.periodic[stream];
   s.active = true;
   s.period = period;
   s.payload = std::move(payload);
@@ -70,8 +70,8 @@ void Node::start_periodic(std::uint8_t stream, sim::Time period,
 }
 
 void Node::stop_periodic(std::uint8_t stream) {
-  const auto it = periodic_.find(stream);
-  if (it == periodic_.end()) return;
+  const auto it = s_.periodic.find(stream);
+  if (it == s_.periodic.end()) return;
   PeriodicStream& s = it->second;
   s.active = false;
   timers_.cancel_alarm(s.timer);
@@ -79,8 +79,8 @@ void Node::stop_periodic(std::uint8_t stream) {
 }
 
 void Node::periodic_tick(std::uint8_t stream) {
-  PeriodicStream& s = periodic_.at(stream);  // map nodes never move
-  if (!s.active || crashed_) return;
+  PeriodicStream& s = s_.periodic.at(stream);  // map nodes never move
+  if (!s.active || s_.crashed) return;
   send(stream, s.payload);
   s.timer = timers_.start_alarm(s.period, [this, stream] {
     periodic_tick(stream);
@@ -88,8 +88,8 @@ void Node::periodic_tick(std::uint8_t stream) {
 }
 
 void Node::crash() {
-  if (crashed_) return;
-  crashed_ = true;
+  if (s_.crashed) return;
+  s_.crashed = true;
   emit_lifecycle(obs::EventKind::kNodeCrash);
   controller_.crash();
   timers_.cancel_all();  // every protocol timer and traffic stream dies
@@ -99,13 +99,35 @@ void Node::crash_at(sim::Time when) {
   engine_.schedule_at(when, [this] { crash(); });
 }
 
+void Node::checkpoint(Checkpoint& out) const {
+  out.node = s_;
+  controller_.checkpoint(out.controller);
+  timers_.checkpoint(out.timers);
+  fda_.checkpoint(out.fda);
+  rha_.checkpoint(out.rha);
+  fd_.checkpoint(out.fd);
+  msh_.checkpoint(out.msh);
+  groups_.checkpoint(out.groups);
+}
+
+void Node::restore(const Checkpoint& in) {
+  s_ = in.node;
+  controller_.restore(in.controller);
+  timers_.restore(in.timers);
+  fda_.restore(in.fda);
+  rha_.restore(in.rha);
+  fd_.restore(in.fd);
+  msh_.restore(in.msh);
+  groups_.restore(in.groups);
+}
+
 void Node::hash_state(sim::StateHasher& h) const {
   // Fixed feed order: liveness, controller, then the stack bottom-up
   // (fd, fda, rha, msh, groups), then the periodic traffic streams.
   // Exclusions beyond what each component documents: crash_at() events
   // (never used by the checked harness — it crashes nodes synchronously
   // from the bus observer) and the recorder wiring (pure observation).
-  h.feed_bool(crashed_);
+  h.feed_bool(s_.crashed);
   controller_.hash_state(h);
   fd_.hash_state(h);
   fda_.hash_state(h);
@@ -113,11 +135,11 @@ void Node::hash_state(sim::StateHasher& h) const {
   msh_.hash_state(h);
   groups_.hash_state(h);
   std::uint64_t active_streams = 0;
-  for (const auto& [id, s] : periodic_) {
+  for (const auto& [id, s] : s_.periodic) {
     if (s.active) ++active_streams;
   }
   h.feed(active_streams);
-  for (const auto& [id, s] : periodic_) {
+  for (const auto& [id, s] : s_.periodic) {
     if (!s.active) continue;
     h.feed(id);
     h.feed_time(s.period);

@@ -114,7 +114,7 @@ class Node {
   /// Schedule a crash at an absolute simulated time.
   void crash_at(sim::Time when);
 
-  [[nodiscard]] bool crashed() const { return crashed_; }
+  [[nodiscard]] bool crashed() const { return s_.crashed; }
 
   // -- diagnostics ------------------------------------------------------------
 
@@ -170,11 +170,39 @@ class Node {
     std::vector<std::uint8_t> payload;
     sim::TimerId timer{sim::kNullTimer};
   };
-  /// Streams ever started, by ascending id.  A map rather than a
-  /// 256-entry table: most nodes run none, and an empty map costs
-  /// nothing to build, hash or tear down.
-  std::map<std::uint8_t, PeriodicStream> periodic_;
-  bool crashed_{false};
+
+ public:
+  /// The node's own mutable members, value-typed.
+  struct State {
+    /// Streams ever started, by ascending id.  A map rather than a
+    /// 256-entry table: most nodes run none, and an empty map costs
+    /// nothing to build, hash or tear down.
+    std::map<std::uint8_t, PeriodicStream> periodic;
+    bool crashed{false};
+  };
+
+  /// The whole node's mutable state: its own plus every component's.
+  /// The driver holds handler wiring only and has none.
+  struct Checkpoint {
+    State node;
+    can::Controller::State controller;
+    sim::TimerService::State timers;
+    FdaProtocol::State fda;
+    RhaProtocol::State rha;
+    FailureDetector::State fd;
+    MembershipService::State msh;
+    GroupMembership::State groups;
+  };
+
+  /// Copy-assign every component's state into `out` (whose storage is
+  /// reused) / back from `in`.  restore() is for the node the checkpoint
+  /// was taken from, between engine runs, together with its bus and
+  /// engine: callbacks and timer ids name this node's objects.
+  void checkpoint(Checkpoint& out) const;
+  void restore(const Checkpoint& in);
+
+ private:
+  State s_;
 };
 
 }  // namespace canely

@@ -39,7 +39,7 @@ RhaProtocol::RhaProtocol(CanDriver& driver, sim::TimerService& timers,
   // can-abort.req that can destroy an unrelated, newer RHA frame whose
   // mid happens to match (same cardinality, same sender).
   driver_.on_data_cnf(MsgType::kRha, [this](const Mid& mid) {
-    if (have_pending_ && mid == last_sent_mid_) have_pending_ = false;
+    if (s_.have_pending && mid == s_.last_sent_mid) s_.have_pending = false;
   });
 }
 
@@ -47,19 +47,20 @@ void RhaProtocol::rha_can_req() {
   // Sender, s00-s04: only full members may start in isolation, and only
   // when no execution is running.
   if (!shared_ || !shared_().full.contains(driver_.node())) return;
-  if (tid_ != sim::kNullTimer) return;  // s01
+  if (s_.tid != sim::kNullTimer) return;  // s01
   rha_init_send(can::NodeSet::first_n(can::kMaxNodes));  // s02: R_W = Omega
 }
 
 void RhaProtocol::rha_init_send(can::NodeSet rw) {
   // a00-a09.  `r` of the pseudo-code is the local node.
-  tid_ = timers_.start_alarm(params_.rha_timeout, [this] { on_alarm(); });  // a01
+  s_.tid =
+      timers_.start_alarm(params_.rha_timeout, [this] { on_alarm(); });  // a01
   const SharedSets sets = shared_ ? shared_() : SharedSets{};
   if (sets.full.contains(driver_.node())) {
     // a03: full-member initial vector ((R_F u R_J) - R_L) ^ R_W
-    rhv_ = sets.full.united(sets.joining).minus(sets.leaving).intersected(rw);
+    s_.rhv = sets.full.united(sets.joining).minus(sets.leaving).intersected(rw);
   } else {
-    rhv_ = rw;  // a05: non-members adopt the received vector
+    s_.rhv = rw;  // a05: non-members adopt the received vector
   }
   if (recorder_ != nullptr) {
     obs::Event ev;
@@ -74,17 +75,18 @@ void RhaProtocol::rha_init_send(can::NodeSet rw) {
 }
 
 void RhaProtocol::send_rhv() {
-  last_sent_mid_ = Mid{MsgType::kRha, static_cast<std::uint8_t>(rhv_.size()),
-                       driver_.node()};
-  have_pending_ = true;
-  const auto bytes = to_wire(rhv_);
-  driver_.can_data_req(last_sent_mid_, bytes);
+  s_.last_sent_mid = Mid{MsgType::kRha,
+                         static_cast<std::uint8_t>(s_.rhv.size()),
+                         driver_.node()};
+  s_.have_pending = true;
+  const auto bytes = to_wire(s_.rhv);
+  driver_.can_data_req(s_.last_sent_mid, bytes);
 }
 
 void RhaProtocol::abort_pending() {
-  if (!have_pending_) return;
-  driver_.can_abort_req(last_sent_mid_);
-  have_pending_ = false;
+  if (!s_.have_pending) return;
+  driver_.can_abort_req(s_.last_sent_mid);
+  s_.have_pending = false;
 }
 
 void RhaProtocol::on_data_ind(const Mid& /*mid*/,
@@ -92,27 +94,27 @@ void RhaProtocol::on_data_ind(const Mid& /*mid*/,
   // Recipient, r00-r13.  Own transmissions arrive here too and are counted
   // as circulating copies.
   const can::NodeSet remote = from_wire(payload);
-  int& ndup = ++rhv_ndup_[remote.bits()];  // r01
+  int& ndup = ++s_.rhv_ndup[remote.bits()];  // r01
   (void)ndup;
-  if (tid_ == sim::kNullTimer) {
+  if (s_.tid == sim::kNullTimer) {
     rha_init_send(remote);  // r03: reception-triggered start
     return;
   }
-  if (rhv_.intersected(remote) != rhv_) {  // r04: remote removes nodes
+  if (s_.rhv.intersected(remote) != s_.rhv) {  // r04: remote removes nodes
     abort_pending();                       // r05
-    rhv_ = rhv_.intersected(remote);       // r06
+    s_.rhv = s_.rhv.intersected(remote);       // r06
     send_rhv();                            // r07
     return;
   }
-  if (rhv_ndup_[rhv_.bits()] > params_.inconsistent_degree_j) {  // r08
+  if (s_.rhv_ndup[s_.rhv.bits()] > params_.inconsistent_degree_j) {  // r08
     abort_pending();  // r09: >j copies circulated; ours is redundant
   }
 }
 
 void RhaProtocol::on_alarm() {
   // r14-r18: the execution ends; deliver the agreed vector upward.
-  const can::NodeSet agreed = rhv_;
-  ++executions_;
+  const can::NodeSet agreed = s_.rhv;
+  ++s_.executions;
   if (recorder_ != nullptr) {
     obs::Event ev;
     ev.when = driver_.engine().now();
@@ -121,9 +123,9 @@ void RhaProtocol::on_alarm() {
     recorder_->emit(ev);
     ctr_executions_->add_node(driver_.node());
   }
-  tid_ = sim::kNullTimer;  // r16
-  rhv_.clear();            // r17
-  rhv_ndup_.clear();       // fresh counters for the next execution (i00)
+  s_.tid = sim::kNullTimer;  // r16
+  s_.rhv.clear();            // r17
+  s_.rhv_ndup.clear();       // fresh counters for the next execution (i00)
   // Deviation from the letter of Fig. 7: abort any still-pending own
   // signal, so a queued stale vector cannot trigger a ghost execution
   // after this one ended.  (Trha is sized so this never fires in a

@@ -72,35 +72,35 @@ class RhaProtocol {
   /// full members and only when no execution is in progress.
   void rha_can_req();
 
-  [[nodiscard]] bool running() const { return tid_ != sim::kNullTimer; }
-  [[nodiscard]] can::NodeSet current_rhv() const { return rhv_; }
+  [[nodiscard]] bool running() const { return s_.tid != sim::kNullTimer; }
+  [[nodiscard]] can::NodeSet current_rhv() const { return s_.rhv; }
 
   /// Completed executions at this node (diagnostics).
-  [[nodiscard]] std::uint64_t executions() const { return executions_; }
+  [[nodiscard]] std::uint64_t executions() const { return s_.executions; }
 
   /// True while an own RHV signal is queued but not yet on the wire
   /// (can-data.cnf pending).  Diagnostics/tests: a confirmed signal must
   /// clear this, or a later abort could target a newer frame whose mid
   /// collides with the transmitted one.
-  [[nodiscard]] bool pending() const { return have_pending_; }
+  [[nodiscard]] bool pending() const { return s_.have_pending; }
 
   /// Canonical protocol state for the checker's equivalence dedup:
   /// termination-timer deadline, current vector, per-value duplicate
   /// counters (ordered map — deterministic iteration), and the pending
-  /// own-signal bookkeeping.  executions_ is excluded (diagnostic);
-  /// last_sent_mid_ is fed only while a signal is pending — it is the
+  /// own-signal bookkeeping.  s_.executions is excluded (diagnostic);
+  /// s_.last_sent_mid is fed only while a signal is pending — it is the
   /// abort target and dead state otherwise.
   void hash_state(sim::StateHasher& h) const {
-    h.feed_time(timers_.deadline(tid_));
-    h.feed(rhv_.bits());
-    h.feed(rhv_ndup_.size());
-    for (const auto& [value, count] : rhv_ndup_) {
+    h.feed_time(timers_.deadline(s_.tid));
+    h.feed(s_.rhv.bits());
+    h.feed(s_.rhv_ndup.size());
+    for (const auto& [value, count] : s_.rhv_ndup) {
       h.feed(value);
       h.feed(static_cast<std::uint64_t>(count));
     }
-    h.feed_bool(have_pending_);
-    if (have_pending_) {
-      h.feed(static_cast<std::uint64_t>(last_sent_mid_.encode()));
+    h.feed_bool(s_.have_pending);
+    if (s_.have_pending) {
+      h.feed(static_cast<std::uint64_t>(s_.last_sent_mid.encode()));
     }
   }
 
@@ -120,19 +120,32 @@ class RhaProtocol {
   NtyHandler nty_;
   NtyHandler obs_;
 
-  sim::TimerId tid_{sim::kNullTimer};  // i01
-  can::NodeSet rhv_;                   // i02: R_RHV
-  /// rhv_ndup of line i00 — copies observed per vector value.  The paper
-  /// keys this by mid{RHA, #RHV}; we key by the vector value itself, which
-  /// is strictly finer (two distinct concurrent vectors of equal
-  /// cardinality no longer share a counter) and equal in the common case.
-  /// Ordered map: determinism-zone code holds only containers with a
-  /// defined iteration order (canely-lint no-unordered-iter), and an RHA
-  /// execution tracks a handful of concurrent vector values at most.
-  std::map<std::uint64_t, int> rhv_ndup_;
-  Mid last_sent_mid_{};  // target for can-abort.req (r05/r09)
-  bool have_pending_{false};
-  std::uint64_t executions_{0};
+
+ public:
+  /// Every mutable member of the protocol, value-typed: checkpoint() and
+  /// restore() are copy-assignments.
+  struct State {
+    sim::TimerId tid{sim::kNullTimer};  // i01
+    can::NodeSet rhv;                   // i02: R_RHV
+    /// rhv_ndup of line i00 — copies observed per vector value.  The
+    /// paper keys this by mid{RHA, #RHV}; we key by the vector value
+    /// itself, which is strictly finer (two distinct concurrent vectors
+    /// of equal cardinality no longer share a counter) and equal in the
+    /// common case.  Ordered map: determinism-zone code holds only
+    /// containers with a defined iteration order (canely-lint
+    /// no-unordered-iter), and an RHA execution tracks a handful of
+    /// concurrent vector values at most.
+    std::map<std::uint64_t, int> rhv_ndup;
+    Mid last_sent_mid{};  // target for can-abort.req (r05/r09)
+    bool have_pending{false};
+    std::uint64_t executions{0};
+  };
+
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
+ private:
+  State s_;
 };
 
 }  // namespace canely

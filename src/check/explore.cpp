@@ -11,11 +11,13 @@
 #include <unordered_set>
 #include <utility>
 
+#include "campaign/annotations.hpp"
 #include "campaign/grid.hpp"
 #include "campaign/runner.hpp"
 #include "canely/mid.hpp"
 #include "check/frontier.hpp"
 #include "check/prefix_cache.hpp"
+#include "check/universe.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/hash.hpp"
 #include "sim/rng.hpp"
@@ -23,27 +25,90 @@
 namespace canely::check {
 namespace {
 
-/// Per-run outcome, reduced to what a record needs.  Default-
-/// constructible placeholder for the campaign runner's result slots.
+/// Per-run outcome, reduced to what a record (and the tripwire) needs.
+/// Default-constructible placeholder for the campaign runner's result
+/// slots.
 struct Cell {
   bool violated{false};
   bool rejoined{false};  ///< stopped on its base trajectory
   Violation first;
+  std::uint64_t trace_hash{0};
+  std::uint64_t attempts{0};
 };
 
-Cell run_cell(const ScenarioConfig& scenario, const FaultScript& script,
-              const RejoinTarget* rejoin = nullptr) {
-  RunOptions opts;
-  opts.rejoin = rejoin;
-  RunResult r = run_checked(scenario, script, opts);
+Cell cell_of(const RunResult& r) {
   Cell c;
   c.rejoined = r.rejoined;
+  c.trace_hash = r.trace_hash;
+  c.attempts = r.attempts;
   if (!r.violations.empty()) {
     c.violated = true;
     c.first = r.violations.front();
   }
   return c;
 }
+
+bool same_violation(const Violation& a, const Violation& b) {
+  return a.monitor == b.monitor && a.when == b.when && a.detail == b.detail;
+}
+
+Cell run_cell(const ScenarioConfig& scenario, const FaultScript& script,
+              const RejoinTarget* rejoin = nullptr) {
+  RunOptions opts;
+  opts.rejoin = rejoin;
+  return cell_of(run_checked(scenario, script, opts));
+}
+
+/// One explorer worker's reusable universe: its node storage, the
+/// universe, its t = 0 checkpoint, and the checkpoint at the current
+/// task's boundary.  Workers are pooled, not bound to threads: a task
+/// takes one for its duration, so the campaign runner's threads (which
+/// come and go with every chunk) never share a universe.
+struct Worker {
+  sim::Arena arena;
+  Universe universe;  // after arena: its destructor resets the arena
+  Universe::Checkpoint origin;
+  Universe::Checkpoint boundary;
+
+  explicit Worker(const ScenarioConfig& scenario)
+      : universe{scenario, arena} {
+    universe.checkpoint(origin);
+  }
+};
+
+class WorkerPool {
+ public:
+  explicit WorkerPool(const ScenarioConfig& scenario) : scenario_{scenario} {}
+
+  /// An idle worker, or a new one (built outside the lock).
+  std::unique_ptr<Worker> acquire() {
+    {
+      const campaign::MutexLock lock{mu_};
+      if (!idle_.empty()) {
+        std::unique_ptr<Worker> w = std::move(idle_.back());
+        idle_.pop_back();
+        return w;
+      }
+    }
+    return std::make_unique<Worker>(scenario_);
+  }
+
+  void release(std::unique_ptr<Worker> w) {
+    const campaign::MutexLock lock{mu_};
+    idle_.push_back(std::move(w));
+  }
+
+ private:
+  const ScenarioConfig& scenario_;
+  campaign::Mutex mu_;
+  std::vector<std::unique_ptr<Worker>> idle_ CANELY_GUARDED_BY(mu_);
+};
+
+/// Units per task: a task pays one prefix run for up to this many units,
+/// and tasks are what the campaign runner spreads across threads.  The
+/// largest cap measured without a loss at two threads; larger caps
+/// unbalance four (EXPERIMENTS.md, "task cap").
+constexpr std::size_t kTaskUnits = 32;
 
 /// The ascending list of member ids of `set` (mask bit i of a victim-
 /// subset index maps to the i-th receiver in id order).
@@ -147,15 +212,31 @@ std::uint64_t unit_key(std::uint64_t state, const FaultEvent& last) {
 
 /// One enumerated unit: shard-computable coordinates, class key, the
 /// full fault script that executes it, and the probe of its base (the
-/// trajectory it may rejoin; a prefix cache slot, which stays cached
-/// while the unit is pending).  Random walks have no base: they are
-/// always simulated, to the end.
+/// trajectory it may rejoin; a prefix cache slot, which with dedup on
+/// stays cached while the unit is pending — with dedup off only its
+/// presence is read).  Random walks have no base: they are always
+/// simulated, to the end.
 struct Unit {
   std::uint64_t u{};
   std::uint64_t j{};
   std::uint64_t key{};
   FaultScript script;
   const PrefixProbe* base{nullptr};
+
+  /// Attempts a restored run skips: the attempt its last fault targets
+  /// (the rest of its script is its base's, all earlier).  Walks have no
+  /// base and start from t = 0.
+  [[nodiscard]] std::uint64_t boundary() const {
+    return base != nullptr ? script.back().tx : 0;
+  }
+};
+
+/// Consecutive units sharing a base and a boundary attempt, run from one
+/// checkpoint.
+struct Task {
+  std::size_t first{0};
+  std::size_t count{0};
+  std::uint64_t boundary{0};
 };
 
 struct ClassOutcome {
@@ -181,7 +262,8 @@ class RecordExplorer {
                         ? cfg.fault_window
                         : cfg.scenario.duration - cfg.scenario.expel_grace() -
                               cfg.scenario.settle},
-        cache_{cfg.prefix_cache_cells} {
+        cache_{cfg.prefix_cache_cells},
+        pool_{cfg.scenario} {
     if (cfg_.checkpoint_secs > 0 && keep_records_) {
       checkpoint_period_ns_ = static_cast<std::uint64_t>(
           cfg_.checkpoint_secs * 1'000'000'000.0);
@@ -378,7 +460,11 @@ class RecordExplorer {
     opts.want_tx_log = true;
     opts.sample_at = std::move(sample_at);
     const obs::StageTimer timer{tel_, obs::TelemetryStage::kReplay};
-    const RunResult r = run_checked(cfg_.scenario, prefix, opts);
+    std::unique_ptr<Worker> w = pool_.acquire();
+    w->universe.restore(w->origin);
+    w->universe.arm(prefix, opts);
+    const RunResult r = w->universe.finish();
+    pool_.release(std::move(w));
     ++result_.runs;
     ++result_.probe_runs;
     return cache_.insert(key, r.tx_log, r.samples, r.violations,
@@ -486,24 +572,18 @@ class RecordExplorer {
 
   /// Execute `units` through the campaign runner (index-slotted results:
   /// settle order is unit order for any thread count).  With
-  /// `naive_rerun` every worker first re-simulates every proper prefix of
-  /// its script from t=0 (tx log only, result discarded) — the probes a
-  /// stateless re-run-from-zero explorer pays to locate each fault's
-  /// target attempt before it can run the placement itself.  With dedup
-  /// on, a unit with a base may stop where it rejoins the base's
+  /// `naive_rerun` every unit runs in a fresh universe after first
+  /// re-simulating every proper prefix of its script from t=0 (tx log
+  /// only, result discarded) — the probes a stateless re-run-from-zero
+  /// explorer pays to locate each fault's target attempt before it can
+  /// run the placement itself.  Otherwise units run as tasks
+  /// (group_tasks) on pooled universes restored from checkpoints.  With
+  /// dedup on, a unit with a base may stop where it rejoins the base's
   /// trajectory (RejoinTarget) — dedup's soundness argument.
   std::vector<Cell> run_units(const std::vector<const Unit*>& units) {
-    campaign::Grid grid;
-    std::vector<double> axis(units.size());
-    for (std::size_t i = 0; i < axis.size(); ++i) {
-      axis[i] = static_cast<double>(i);
-    }
-    grid.axis("placement", std::move(axis)).repeats(1).master_seed(cfg_.seed);
-    campaign::Runner runner{cfg_.threads};
-    runner.set_observer(tel_);  // counts runs + judge durations; null ok
-    auto outcome = runner.run<Cell>(grid, [&](const campaign::RunSpec& spec) {
-      const Unit& unit = *units[spec.index];
-      if (cfg_.naive_rerun) {
+    if (cfg_.naive_rerun) {
+      return run_batch<Cell>(units.size(), [&](std::size_t i) {
+        const Unit& unit = *units[i];
         FaultScript prefix;
         RunOptions opts;
         opts.want_tx_log = true;
@@ -511,12 +591,109 @@ class RecordExplorer {
           (void)run_checked(cfg_.scenario, prefix, opts);
           prefix.push_back(ev);
         }
-      }
-      const bool rejoin = dedup_ && unit.base != nullptr;
-      return run_cell(cfg_.scenario, unit.script,
-                      rejoin ? &unit.base->trajectory : nullptr);
-    });
+        return run_cell(cfg_.scenario, unit.script);
+      });
+    }
+    const std::vector<Task> tasks = group_tasks(units);
+    for (const Task& task : tasks) {
+      if (task.boundary != 0) ++result_.prefix_runs;
+      result_.attempts_skipped += task.boundary * task.count;
+    }
+    // A task is not a checked run: run_task counts and times its units.
+    const std::vector<std::vector<Cell>> done = run_batch<std::vector<Cell>>(
+        tasks.size(),
+        [&](std::size_t t) { return run_task(tasks[t], units); },
+        /*observe=*/false);
+    std::vector<Cell> cells;
+    cells.reserve(units.size());
+    for (const std::vector<Cell>& part : done) {
+      cells.insert(cells.end(), part.begin(), part.end());
+    }
+    return cells;
+  }
+
+  /// `count` runs of `fn(index)` through the campaign runner, results in
+  /// index order for any thread count.  With `observe`, telemetry counts
+  /// each job as one checked run and times it as a judge.
+  template <typename T, typename Fn>
+  std::vector<T> run_batch(std::size_t count, Fn&& fn, bool observe = true) {
+    campaign::Grid grid;
+    std::vector<double> axis(count);
+    for (std::size_t i = 0; i < axis.size(); ++i) {
+      axis[i] = static_cast<double>(i);
+    }
+    grid.axis("placement", std::move(axis)).repeats(1).master_seed(cfg_.seed);
+    campaign::Runner runner{cfg_.threads};
+    if (observe) runner.set_observer(tel_);  // runs + judge times; null ok
+    auto outcome = runner.run<T>(
+        grid, [&](const campaign::RunSpec& spec) { return fn(spec.index); });
     return std::move(outcome.results);
+  }
+
+  /// Split `units` into tasks: maximal runs of consecutive units sharing
+  /// a boundary attempt and, past t = 0, a base script, at most
+  /// kTaskUnits each.  A pure function of the unit list — never of the
+  /// thread count.  The base is compared by script, not by probe: with
+  /// dedup off a pending unit's probe slot may already hold another base.
+  static std::vector<Task> group_tasks(const std::vector<const Unit*>& units) {
+    const auto same_base = [](const Unit& a, const Unit& b) {
+      return std::equal(a.script.begin(), a.script.end() - 1,
+                        b.script.begin(), b.script.end() - 1);
+    };
+    std::vector<Task> tasks;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+      const Unit& unit = *units[i];
+      if (!tasks.empty()) {
+        Task& last = tasks.back();
+        const Unit& head = *units[last.first];
+        if (last.count < kTaskUnits && last.boundary == unit.boundary() &&
+            (last.boundary == 0 || same_base(head, unit))) {
+          ++last.count;
+          continue;
+        }
+      }
+      tasks.push_back(Task{i, 1, unit.boundary()});
+    }
+    return tasks;
+  }
+
+  /// Run one task on a pooled universe: restore t = 0; with a boundary
+  /// k > 0, simulate the base script to the event boundary after attempt
+  /// k - 1 and checkpoint there; then run each unit from that checkpoint
+  /// with its full script armed (universe.hpp: the continuation is
+  /// exact).
+  std::vector<Cell> run_task(const Task& task,
+                             const std::vector<const Unit*>& units) {
+    std::unique_ptr<Worker> w = pool_.acquire();
+    Universe& universe = w->universe;
+    const Universe::Checkpoint* start = &w->origin;
+    if (task.boundary != 0) {
+      const FaultScript& script = units[task.first]->script;
+      const FaultScript base(script.begin(), script.end() - 1);
+      const obs::StageTimer timer{tel_, obs::TelemetryStage::kReplay};
+      universe.restore(w->origin);
+      universe.arm(base, RunOptions{});
+      if (!universe.run_to_attempt(task.boundary)) {
+        throw std::logic_error("explore: a unit targets an attempt its "
+                               "base run never reaches");
+      }
+      universe.checkpoint(w->boundary);
+      start = &w->boundary;
+    }
+    std::vector<Cell> cells;
+    cells.reserve(task.count);
+    for (std::size_t i = task.first; i < task.first + task.count; ++i) {
+      const Unit& unit = *units[i];
+      RunOptions opts;
+      if (dedup_ && unit.base != nullptr) opts.rejoin = &unit.base->trajectory;
+      const obs::StageTimer timer{tel_, obs::TelemetryStage::kJudge};
+      universe.restore(*start);
+      universe.arm(unit.script, opts);
+      cells.push_back(cell_of(universe.finish()));
+    }
+    obs::telemetry_add(tel_, obs::TelemetryCounter::kRuns, task.count);
+    pool_.release(std::move(w));
+    return cells;
   }
 
   /// Resolve one chunk: sequential keying picks the units to simulate
@@ -566,6 +743,7 @@ class RecordExplorer {
         outcome.violated = cell.violated;
         outcome.first = cell.first;
         if (dedup_ && unit.base != nullptr) classes_.emplace(unit.key, outcome);
+        if (!cfg_.naive_rerun) verify_restored(unit, cell);
         if (cell.rejoined) {
           ++result_.rejoined;
           obs::telemetry_add(tel_, obs::TelemetryCounter::kRejoined);
@@ -654,9 +832,29 @@ class RecordExplorer {
     ++result_.dedup_verified;
     const bool agree =
         own.violated == inherited.violated &&
-        (!own.violated || (own.first.monitor == inherited.first.monitor &&
-                           own.first.when == inherited.first.when &&
-                           own.first.detail == inherited.first.detail));
+        (!own.violated || same_violation(own.first, inherited.first));
+    if (!agree) ++result_.dedup_mismatches;
+  }
+
+  /// Restore tripwire: re-run every k-th unit simulated from a checkpoint
+  /// in a fresh universe, under the same options, and compare the whole
+  /// cell — verdict, rejoin, trace digest and attempt count.  Any
+  /// mismatch means a restore missed mutable state.
+  void verify_restored(const Unit& unit, const Cell& restored) {
+    if (cfg_.dedup_verify_every == 0) return;
+    if (++restore_verify_tick_ % cfg_.dedup_verify_every != 0) return;
+    obs::telemetry_add(tel_, obs::TelemetryCounter::kRuns);
+    const bool rejoin = dedup_ && unit.base != nullptr;
+    const Cell own = run_cell(cfg_.scenario, unit.script,
+                              rejoin ? &unit.base->trajectory : nullptr);
+    ++result_.runs;
+    ++result_.dedup_verified;
+    const bool agree =
+        own.violated == restored.violated &&
+        own.rejoined == restored.rejoined &&
+        own.trace_hash == restored.trace_hash &&
+        own.attempts == restored.attempts &&
+        (!own.violated || same_violation(own.first, restored.first));
     if (!agree) ++result_.dedup_mismatches;
   }
 
@@ -682,6 +880,7 @@ class RecordExplorer {
   std::size_t shard_count_;
   sim::Time window_end_;
   PrefixCache cache_;
+  WorkerPool pool_;
   std::uint64_t checkpoint_period_ns_{0};  ///< 0 = unit-count trigger only
   std::uint64_t last_checkpoint_ns_{0};
   std::size_t units_since_checkpoint_{0};
@@ -693,6 +892,7 @@ class RecordExplorer {
   std::uint64_t aggregate_{kFnvOffset};
   std::uint64_t skip_verify_tick_{0};
   std::uint64_t rejoin_verify_tick_{0};
+  std::uint64_t restore_verify_tick_{0};
   bool stopped_{false};
   std::vector<Unit> pending_;
   std::vector<FrontierRecord> records_;  ///< only when keep_records_

@@ -61,6 +61,15 @@
 //    run (tx log + judge-time samples + verdict).  Probes live in an LRU
 //    PrefixCache and are computed once per base instead of once per
 //    placement — the dominant saving over naive re-run-from-zero.
+//  * Restore, don't rebuild: each worker keeps one check::Universe
+//    (universe.hpp) and its t = 0 checkpoint.  A chunk's simulated units
+//    are grouped into tasks — consecutive units sharing a base and the
+//    attempt k their last fault targets, at most 32 — and a task runs
+//    the base script once to the event boundary after attempt k - 1,
+//    checkpoints there, and starts every unit from that checkpoint: the
+//    unit simulates neither the shared prefix nor a universe build.
+//    Walks start from the t = 0 checkpoint.  Task boundaries depend only
+//    on the unit list, so prefix_runs and attempts_skipped are exact.
 //  * Sharding + frontier: shard i of N owns units with u % N == i; a
 //    frontier file checkpoints verdict records every `checkpoint_every`
 //    units (atomic rename), supports resume after a kill, and merges
@@ -140,19 +149,22 @@ struct ExploreConfig {
   /// LRU capacity of the prefix-replay cache (probe runs retained).
   std::size_t prefix_cache_cells{64};
   /// Tripwire: re-execute every k-th dedup skip and compare its verdict
-  /// against the class representative's, and run every k-th rejoined
-  /// unit to full length and compare it against its base probe's (0 =
-  /// off).  Mismatches count in ExploreResult::dedup_mismatches — any
-  /// nonzero value means the state hash missed behavior-determining
-  /// state.
+  /// against the class representative's, run every k-th rejoined unit to
+  /// full length and compare it against its base probe's, and re-run
+  /// every k-th unit simulated from a checkpoint in a fresh universe and
+  /// compare verdict, rejoin, trace digest and attempt count (0 = off).
+  /// Mismatches count in ExploreResult::dedup_mismatches — any nonzero
+  /// value means the state hash, or a restore, missed behavior-
+  /// determining state.
   std::size_t dedup_verify_every{0};
   /// Bench comparator (perf_core `check_explore_naive`): cost out the
   /// naive re-run-from-zero strategy — every unit re-simulates every
   /// proper prefix of its script from t=0 (the tx-log probes a stateless
   /// worker needs to locate each fault's target attempt) before running
   /// the unit itself, nothing is shared across units, and dedup is
-  /// ignored.  Records and aggregate stay byte-identical to the scale
-  /// engine's; only the cost differs.
+  /// ignored.  Units run in fresh universes, never from a checkpoint.
+  /// Records and aggregate stay byte-identical to the scale engine's;
+  /// only the cost differs.
   bool naive_rerun{false};
 };
 
@@ -179,6 +191,9 @@ struct ExploreResult {
   std::size_t dedup_skips{0};        ///< units resolved without simulation
   std::size_t rejoined{0};  ///< simulated units stopped on their base
                             ///< trajectory (verdict inherited)
+  std::size_t prefix_runs{0};  ///< task prefix simulations (not runs)
+  std::size_t attempts_skipped{0};  ///< sum of the boundary attempt k over
+                                    ///< units run from a checkpoint
   std::size_t dedup_verified{0};     ///< tripwire re-executions
   std::size_t dedup_mismatches{0};   ///< tripwire disagreements (expect 0)
   std::size_t dropped_frames{0};     ///< in-window attempts over max_frames

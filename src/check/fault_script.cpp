@@ -53,13 +53,11 @@ FaultScript parse_script(const json::Value& arr, const std::string& what) {
   return script;
 }
 
-can::Verdict ScriptInjector::judge(const can::TxContext& ctx) {
-  for (const FaultEvent& ev : script_) {
+can::Verdict script_verdict(const FaultScript& script,
+                            const can::TxContext& ctx, bool& crash) {
+  for (const FaultEvent& ev : script) {
     if (ev.tx != ctx.tx_index) continue;
-    if (ev.crash_sender) {
-      crash_pending_ = true;
-      crash_node_ = ctx.transmitter;
-    }
+    crash = ev.crash_sender;
     switch (ev.op) {
       case FaultOp::kOmit:
         // The bus intersects victims with the actual receivers and

@@ -11,12 +11,13 @@
 // its retransmission* — the sender-crash half of the inconsistent message
 // omission scenario FDA exists to fix (paper §6.1).
 //
-// ScriptInjector plugs a script into the existing can::FaultInjector
-// seam.  Crashing is not the injector's business (it only judges frames);
-// the injector records a pending crash which the harness's bus observer
-// applies at end-of-frame, after delivery, before the next arbitration —
-// at that point the requeued retransmission is withdrawn by the crash
-// (Controller::crash clears the transmit queue).
+// The harness's injector (check::LoggingInjector, universe.hpp) plugs a
+// script into the existing can::FaultInjector seam through
+// script_verdict().  Crashing is not the injector's business (it only
+// judges frames); the injector records a pending crash which the
+// harness's bus observer applies at end-of-frame, after delivery, before
+// the next arbitration — at that point the requeued retransmission is
+// withdrawn by the crash (Controller::crash clears the transmit queue).
 
 #include <cstdint>
 #include <string>
@@ -54,30 +55,12 @@ using FaultScript = std::vector<FaultEvent>;
 [[nodiscard]] FaultScript parse_script(const json::Value& arr,
                                        const std::string& what);
 
-/// Deterministic injector driven by a FaultScript.  The first event whose
+/// The verdict `script` renders for attempt `ctx`: the first event whose
 /// `tx` matches the attempt index fires (events are one-shot by
-/// construction: attempt indices are unique within a run).
-class ScriptInjector final : public can::FaultInjector {
- public:
-  explicit ScriptInjector(FaultScript script) : script_{std::move(script)} {}
-
-  can::Verdict judge(const can::TxContext& ctx) override;
-
-  /// Consume the pending sender-crash recorded by the last judge() call,
-  /// if any.  The harness calls this from the bus observer (end of the
-  /// judged frame); the bus never interleaves another judged attempt in
-  /// between, so the pairing is exact.
-  bool take_pending_crash(can::NodeId& node) {
-    if (!crash_pending_) return false;
-    crash_pending_ = false;
-    node = crash_node_;
-    return true;
-  }
-
- private:
-  FaultScript script_;
-  bool crash_pending_{false};
-  can::NodeId crash_node_{0};
-};
+/// construction: attempt indices are unique within a run).  Sets `crash`
+/// when that event crashes the sender.
+[[nodiscard]] can::Verdict script_verdict(const FaultScript& script,
+                                          const can::TxContext& ctx,
+                                          bool& crash);
 
 }  // namespace canely::check

@@ -1,7 +1,7 @@
 #pragma once
 // Checked-run harness: build one simulation universe (engine, bus, n-node
-// CANELy stack), apply a fault script, watch it with the full monitor
-// panel, and report what happened.
+// CANELy stack; check::Universe), apply a fault script, watch it with the
+// full monitor panel, and report what happened.
 //
 // A checked run is a pure function of (ScenarioConfig, FaultScript): the
 // engine is deterministic, the script keys on the bus's global attempt
@@ -11,7 +11,6 @@
 // byte-equivalent on the wire iff their hashes match — the anchor for the
 // replay-determinism tests and the explorer's thread-count invariance.
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -138,8 +137,9 @@ struct RunResult {
   /// prefix it simulated (the explorer never reads it).
   std::uint64_t trace_hash{0};
   std::vector<TxLogEntry> tx_log;  ///< only when requested
-  /// Per-node view-install history; only when the tx log is requested.
-  std::array<std::vector<ViewInstall>, can::kMaxNodes> installs{};
+  /// Per-node view-install history, indexed by node id (cfg.n entries);
+  /// only when the tx log is requested, empty otherwise.
+  std::vector<std::vector<ViewInstall>> installs;
   /// Judge-time state hashes; only where RunOptions::sample_at asks.
   std::vector<StateSample> samples;
   std::uint64_t attempts{0};  ///< bus attempts completed
@@ -152,7 +152,7 @@ struct RunResult {
 /// First attempt index past a script's last fault (0 for an empty one).
 [[nodiscard]] std::uint64_t script_end(const FaultScript& script);
 
-/// Execute one checked run.
+/// Execute one checked run in a fresh universe (check/universe.hpp).
 [[nodiscard]] RunResult run_checked(const ScenarioConfig& cfg,
                                     const FaultScript& script,
                                     const RunOptions& opts);

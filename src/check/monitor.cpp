@@ -55,7 +55,7 @@ void hash_string(sim::StateHasher& h, const std::string& s) {
 void FdaAgreementMonitor::on_fda_nty(can::NodeId at, can::NodeId failed,
                                      sim::Time when) {
   if (at >= n_ || failed >= n_) return;  // outside the judged table
-  Delivery& d = first_[at * n_ + failed];
+  Delivery& d = s_.first[at * n_ + failed];
   if (!d.delivered) {
     d.delivered = true;
     d.when = when;
@@ -119,7 +119,8 @@ void FdaAgreementMonitor::hash_state(sim::StateHasher& h,
 
 void RhaAgreementMonitor::on_rha_end(can::NodeId at, can::NodeSet agreed,
                                      sim::Time /*when*/) {
-  seqs_[at].push_back(agreed);
+  if (at >= s_.seqs.size()) return;  // outside the judged scenario
+  s_.seqs[at].push_back(agreed);
 }
 
 void RhaAgreementMonitor::finish(const EndState& end,
@@ -128,13 +129,13 @@ void RhaAgreementMonitor::finish(const EndState& end,
   for (can::NodeId a : correct) {
     for (can::NodeId b : correct) {
       if (b <= a) continue;
-      if (seqs_[a].empty() || seqs_[b].empty()) continue;
-      if (!is_infix(seqs_[a], seqs_[b])) {
+      if (s_.seqs[a].empty() || s_.seqs[b].empty()) continue;
+      if (!is_infix(s_.seqs[a], s_.seqs[b])) {
         out.push_back(Violation{
             std::string{name()}, end.end,
             cat_str("agreed-RHV sequences diverge: n", int{a}, "=",
-                    seq_str(seqs_[a]), " n", int{b}, "=",
-                    seq_str(seqs_[b]))});
+                    seq_str(s_.seqs[a]), " n", int{b}, "=",
+                    seq_str(s_.seqs[b]))});
       }
     }
   }
@@ -143,8 +144,8 @@ void RhaAgreementMonitor::finish(const EndState& end,
 void RhaAgreementMonitor::hash_state(sim::StateHasher& h,
                                      std::size_t n) const {
   for (std::size_t at = 0; at < n; ++at) {
-    h.feed(seqs_[at].size());
-    for (can::NodeSet agreed : seqs_[at]) h.feed(agreed.bits());
+    h.feed(s_.seqs[at].size());
+    for (can::NodeSet agreed : s_.seqs[at]) h.feed(agreed.bits());
   }
 }
 
@@ -153,7 +154,8 @@ void RhaAgreementMonitor::hash_state(sim::StateHasher& h,
 void ViewConsistencyMonitor::on_view_installed(can::NodeId at,
                                                can::NodeSet view,
                                                sim::Time when) {
-  installs_[at].push_back(Install{when, view});
+  if (at >= s_.installs.size()) return;  // outside the judged scenario
+  s_.installs[at].push_back(Install{when, view});
 }
 
 void ViewConsistencyMonitor::finish(const EndState& end,
@@ -172,9 +174,9 @@ void ViewConsistencyMonitor::finish(const EndState& end,
   // differ, Fig. 9 s18-s19), and the comparison binds current members
   // only: a node expelled while alive stops cycling, and membership
   // agreement no longer applies to it.
-  std::array<std::vector<Install>, can::kMaxNodes> settledseq{};
+  std::vector<std::vector<Install>> settledseq(s_.installs.size());
   for (can::NodeId m : members) {
-    for (const Install& in : installs_[m]) {
+    for (const Install& in : s_.installs[m]) {
       if (in.when >= converge_by_) settledseq[m].push_back(in);
     }
   }
@@ -259,8 +261,8 @@ void ViewConsistencyMonitor::hash_state(sim::StateHasher& h,
   // Full install history (time + view); expel_grace_/converge_by_ are
   // immutable scenario configuration and not fed.
   for (std::size_t at = 0; at < n; ++at) {
-    h.feed(installs_[at].size());
-    for (const Install& in : installs_[at]) {
+    h.feed(s_.installs[at].size());
+    for (const Install& in : s_.installs[at]) {
       h.feed_time(in.when);
       h.feed(in.view.bits());
     }
@@ -270,40 +272,40 @@ void ViewConsistencyMonitor::hash_state(sim::StateHasher& h,
 // --------------------------------------------------------- fail-silence
 
 void FailSilenceMonitor::on_crash(can::NodeId node, sim::Time when) {
-  if (!crashed_.contains(node)) {
-    crashed_.insert(node);
-    crash_time_[node] = when;
+  if (!s_.crashed.contains(node)) {
+    s_.crashed.insert(node);
+    s_.crash_time[node] = when;
   }
 }
 
 void FailSilenceMonitor::on_tx(const can::TxRecord& rec) {
   for (can::NodeId co : rec.co_transmitters) {
-    if (crashed_.contains(co) && rec.start > crash_time_[co]) {
-      pending_.push_back(Violation{
+    if (s_.crashed.contains(co) && rec.start > s_.crash_time[co]) {
+      s_.pending.push_back(Violation{
           std::string{name()}, rec.start,
           cat_str("frame id=", rec.frame.id, " co-transmitted by node ",
-                  int{co}, " after its crash at ", crash_time_[co])});
+                  int{co}, " after its crash at ", s_.crash_time[co])});
     }
   }
 }
 
 void FailSilenceMonitor::finish(const EndState& /*end*/,
                                 std::vector<Violation>& out) {
-  out.insert(out.end(), pending_.begin(), pending_.end());
+  out.insert(out.end(), s_.pending.begin(), s_.pending.end());
 }
 
 void FailSilenceMonitor::hash_state(sim::StateHasher& h,
                                     std::size_t n) const {
-  h.feed(crashed_.bits());
+  h.feed(s_.crashed.bits());
   for (std::size_t c = 0; c < n; ++c) {
-    if (crashed_.contains(static_cast<can::NodeId>(c))) {
-      h.feed_time(crash_time_[c]);
+    if (s_.crashed.contains(static_cast<can::NodeId>(c))) {
+      h.feed_time(s_.crash_time[c]);
     }
   }
   // Violations buffered for finish(): already-observed babbling is part
   // of the run's verdict, so it must separate equivalence classes.
-  h.feed(pending_.size());
-  for (const Violation& v : pending_) {
+  h.feed(s_.pending.size());
+  for (const Violation& v : s_.pending) {
     hash_string(h, v.monitor);
     h.feed_time(v.when);
     hash_string(h, v.detail);
@@ -314,28 +316,28 @@ void FailSilenceMonitor::hash_state(sim::StateHasher& h,
 
 void DetectionLatencyMonitor::on_fda_nty(can::NodeId at, can::NodeId failed,
                                          sim::Time when) {
-  deliveries_.push_back(Delivery{at, failed, when});
+  s_.deliveries.push_back(Delivery{at, failed, when});
 }
 
 void DetectionLatencyMonitor::on_view_installed(can::NodeId at,
                                                 can::NodeSet /*view*/,
                                                 sim::Time when) {
-  if (!has_install_[at]) {
-    has_install_[at] = true;
-    first_install_[at] = when;
+  if (!s_.has_install[at]) {
+    s_.has_install[at] = true;
+    s_.first_install[at] = when;
   }
 }
 
 void DetectionLatencyMonitor::finish(const EndState& end,
                                      std::vector<Violation>& out) {
-  for (const Delivery& d : deliveries_) {
+  for (const Delivery& d : s_.deliveries) {
     if (!end.crashed.contains(d.failed)) continue;  // validity is FDA's job
     // Surveillance of a node starts no later than the observer's first
     // view install (msh-data-proc); a crash before that is detectable
     // only from then on.
-    if (!has_install_[d.at]) continue;
+    if (!s_.has_install[d.at]) continue;
     const sim::Time ref = std::max(end.crash_time[d.failed],
-                                   first_install_[d.at]);
+                                   s_.first_install[d.at]);
     if (d.when > ref + bound_) {
       out.push_back(Violation{
           std::string{name()}, d.when,
@@ -348,15 +350,15 @@ void DetectionLatencyMonitor::finish(const EndState& end,
 
 void DetectionLatencyMonitor::hash_state(sim::StateHasher& h,
                                          std::size_t n) const {
-  h.feed(deliveries_.size());
-  for (const Delivery& d : deliveries_) {
+  h.feed(s_.deliveries.size());
+  for (const Delivery& d : s_.deliveries) {
     h.feed(d.at);
     h.feed(d.failed);
     h.feed_time(d.when);
   }
   for (std::size_t at = 0; at < n; ++at) {
-    h.feed_bool(has_install_[at]);
-    if (has_install_[at]) h.feed_time(first_install_[at]);
+    h.feed_bool(s_.has_install[at]);
+    if (s_.has_install[at]) h.feed_time(s_.first_install[at]);
   }
 }
 

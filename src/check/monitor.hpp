@@ -57,8 +57,8 @@ struct EndState {
                        ///< window are exempt (their deadline is past end)
   can::NodeSet nodes;  ///< the scenario's Omega
   can::NodeSet crashed;
-  std::array<sim::Time, can::kMaxNodes> crash_time{};
-  std::array<can::NodeSet, can::kMaxNodes> final_view{};
+  std::vector<sim::Time> crash_time;      ///< by node id, one per node
+  std::vector<can::NodeSet> final_view;   ///< by node id, one per node
   can::NodeSet members_at_end;  ///< nodes reporting is_member() at end
 };
 
@@ -111,7 +111,9 @@ class FdaAgreementMonitor final : public Monitor {
  public:
   /// `n`: the scenario size.  Deliveries at or for nodes outside the
   /// scenario are never judged, so only the n x n table is kept.
-  explicit FdaAgreementMonitor(std::size_t n) : n_{n}, first_(n * n) {}
+  explicit FdaAgreementMonitor(std::size_t n) : n_{n} {
+    s_.first.resize(n * n);
+  }
 
   [[nodiscard]] std::string_view name() const override {
     return "fda-agreement";
@@ -121,17 +123,25 @@ class FdaAgreementMonitor final : public Monitor {
   void finish(const EndState& end, std::vector<Violation>& out) override;
   void hash_state(sim::StateHasher& h, std::size_t n) const override;
 
- private:
   struct Delivery {
     bool delivered{false};
     sim::Time when{};
   };
+  /// The monitor's mutable members, value-typed (checkpoint/restore are
+  /// copy-assignments, like every simulated component's).
+  struct State {
+    std::vector<Delivery> first;  // row-major: [at][failed]
+  };
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
+ private:
   [[nodiscard]] const Delivery& first(std::size_t at,
                                       std::size_t failed) const {
-    return first_[at * n_ + failed];
+    return s_.first[at * n_ + failed];
   }
   std::size_t n_;
-  std::vector<Delivery> first_;  // row-major: [at][failed]
+  State s_;
 };
 
 /// RHA agreement (Fig. 7): pairwise, one node's sequence of agreed RHVs is
@@ -139,6 +149,9 @@ class FdaAgreementMonitor final : public Monitor {
 /// cut off at either end of the observation window, never by divergence).
 class RhaAgreementMonitor final : public Monitor {
  public:
+  /// `n`: the scenario size; ends at nodes outside it are not judged.
+  explicit RhaAgreementMonitor(std::size_t n) { s_.seqs.resize(n); }
+
   [[nodiscard]] std::string_view name() const override {
     return "rha-agreement";
   }
@@ -147,8 +160,14 @@ class RhaAgreementMonitor final : public Monitor {
   void finish(const EndState& end, std::vector<Violation>& out) override;
   void hash_state(sim::StateHasher& h, std::size_t n) const override;
 
+  struct State {
+    std::vector<std::vector<can::NodeSet>> seqs;  ///< by node id
+  };
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
  private:
-  std::array<std::vector<can::NodeSet>, can::kMaxNodes> seqs_{};
+  State s_;
 };
 
 /// Membership agreement (Fig. 9): surviving members install identical
@@ -164,8 +183,13 @@ class ViewConsistencyMonitor final : public Monitor {
   /// `converge_by`: installs before this instant are outside the
   /// agreement obligation — during the join phase nodes may hold
   /// different bootstrap histories (Fig. 9, s18-s19).
-  ViewConsistencyMonitor(sim::Time expel_grace, sim::Time converge_by)
-      : expel_grace_{expel_grace}, converge_by_{converge_by} {}
+  /// `n`: the scenario size; installs at nodes outside it are not
+  /// judged.
+  ViewConsistencyMonitor(std::size_t n, sim::Time expel_grace,
+                         sim::Time converge_by)
+      : expel_grace_{expel_grace}, converge_by_{converge_by} {
+    s_.installs.resize(n);
+  }
 
   [[nodiscard]] std::string_view name() const override {
     return "view-consistency";
@@ -175,14 +199,20 @@ class ViewConsistencyMonitor final : public Monitor {
   void finish(const EndState& end, std::vector<Violation>& out) override;
   void hash_state(sim::StateHasher& h, std::size_t n) const override;
 
- private:
   struct Install {
     sim::Time when{};
     can::NodeSet view;
   };
+  struct State {
+    std::vector<std::vector<Install>> installs;  ///< by node id
+  };
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
+ private:
   sim::Time expel_grace_;
   sim::Time converge_by_;
-  std::array<std::vector<Install>, can::kMaxNodes> installs_{};
+  State s_;
 };
 
 /// Weak-fail-silence (§4): no frame on the wire from a crashed node.
@@ -196,10 +226,16 @@ class FailSilenceMonitor final : public Monitor {
   void finish(const EndState& end, std::vector<Violation>& out) override;
   void hash_state(sim::StateHasher& h, std::size_t n) const override;
 
+  struct State {
+    can::NodeSet crashed;
+    std::array<sim::Time, can::kMaxNodes> crash_time{};
+    std::vector<Violation> pending;
+  };
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
  private:
-  can::NodeSet crashed_;
-  std::array<sim::Time, can::kMaxNodes> crash_time_{};
-  std::vector<Violation> pending_;
+  State s_;
 };
 
 /// Bounded failure detection latency (§6.3).
@@ -218,16 +254,22 @@ class DetectionLatencyMonitor final : public Monitor {
   void finish(const EndState& end, std::vector<Violation>& out) override;
   void hash_state(sim::StateHasher& h, std::size_t n) const override;
 
- private:
   struct Delivery {
     can::NodeId at;
     can::NodeId failed;
     sim::Time when;
   };
+  struct State {
+    std::vector<Delivery> deliveries;
+    std::array<bool, can::kMaxNodes> has_install{};
+    std::array<sim::Time, can::kMaxNodes> first_install{};
+  };
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
+ private:
   sim::Time bound_;
-  std::vector<Delivery> deliveries_;
-  std::array<bool, can::kMaxNodes> has_install_{};
-  std::array<sim::Time, can::kMaxNodes> first_install_{};
+  State s_;
 };
 
 /// True iff `a` is a contiguous subsequence (infix) of `b`.

@@ -84,7 +84,8 @@ constexpr std::size_t kTelemetryCounters =
 /// Campaign pipeline stages with per-stage duration histograms.
 enum class TelemetryStage : std::uint8_t {
   kJudge,         ///< one checked run through the harness
-  kReplay,        ///< prefix probe (tx log + judge-time samples)
+  kReplay,        ///< prefix probe (tx log + judge-time samples), or a
+                  ///< task's base run to its checkpoint
   kHash,          ///< unit keying + record folding
   kCheckpointIo,  ///< frontier checkpoint serialization + rename
   kCount

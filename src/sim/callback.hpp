@@ -14,11 +14,18 @@
 // Callables larger than the inline buffer (or with throwing moves) fall
 // back to the heap; the per-thread `heap_constructions()` counter exists
 // so tests can pin down which paths stay inline.
+//
+// Copying a Callback copies the held callable, so component state that
+// holds pending callbacks (engine slots, timer services) can be
+// checkpointed and restored by plain copy-assignment.  Every hot
+// callable is trivially copyable (a byte copy); copying one that is not
+// copy-constructible throws std::logic_error.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -72,8 +79,14 @@ class Callback {
     reset();
     return *this;
   }
-  Callback(const Callback&) = delete;
-  Callback& operator=(const Callback&) = delete;
+  Callback(const Callback& other) { copy_from(other); }
+  Callback& operator=(const Callback& other) {
+    if (this != &other) {
+      reset();
+      copy_from(other);
+    }
+    return *this;
+  }
   ~Callback() { reset(); }
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
@@ -95,14 +108,20 @@ class Callback {
 
  private:
   // A null `relocate` means the storage is trivially relocatable (fixed
-  // 48-byte memcpy — branchless, no indirect call); a null `destroy`
-  // means nothing to destroy.  Hot callables (lambdas over references
-  // and scalars) hit both null paths.
+  // 48-byte memcpy — branchless, no indirect call); a null `copy` means
+  // it is trivially copyable the same way; a null `destroy` means
+  // nothing to destroy.  Hot callables (lambdas over references and
+  // scalars) hit all three null paths.
   struct Ops {
     void (*invoke)(void* storage);
     void (*relocate)(void* from, void* to);  // move-construct + destroy from
+    void (*copy)(const void* from, void* to);  // copy-construct into `to`
     void (*destroy)(void* storage);
   };
+
+  [[noreturn]] static void throw_not_copyable() {
+    throw std::logic_error("sim::Callback: held callable is not copyable");
+  }
 
   template <typename D>
   static constexpr bool fits_inline =
@@ -119,6 +138,15 @@ class Callback {
               ::new (to) D(std::move(*src));
               src->~D();
             },
+      std::is_trivially_copyable_v<D>
+          ? nullptr
+          : +[](const void* from, void* to) {
+              if constexpr (std::is_copy_constructible_v<D>) {
+                ::new (to) D(*std::launder(reinterpret_cast<const D*>(from)));
+              } else {
+                throw_not_copyable();
+              }
+            },
       std::is_trivially_destructible_v<D>
           ? nullptr
           : +[](void* storage) {
@@ -130,6 +158,14 @@ class Callback {
   static constexpr Ops kHeapOps{
       [](void* storage) { (**reinterpret_cast<D**>(storage))(); },
       nullptr,  // boxed pointer: memcpy relocates it
+      [](const void* from, void* to) {
+        if constexpr (std::is_copy_constructible_v<D>) {
+          *reinterpret_cast<D**>(to) =
+              new D(**reinterpret_cast<D* const*>(from));
+        } else {
+          throw_not_copyable();
+        }
+      },
       [](void* storage) { delete *reinterpret_cast<D**>(storage); },
   };
 
@@ -143,6 +179,16 @@ class Callback {
       }
       other.ops_ = nullptr;
     }
+  }
+
+  void copy_from(const Callback& other) {
+    if (other.ops_ == nullptr) return;
+    if (other.ops_->copy != nullptr) {
+      other.ops_->copy(other.buf_, buf_);
+    } else {
+      std::memcpy(buf_, other.buf_, kInlineSize);
+    }
+    ops_ = other.ops_;  // only once the copy has succeeded
   }
 
   alignas(kInlineAlign) unsigned char buf_[kInlineSize];

@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -73,13 +72,13 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time.
-  [[nodiscard]] Time now() const { return now_; }
+  [[nodiscard]] Time now() const { return s_.now; }
 
   /// Reserve the dispatch position of an event at absolute time `t`
   /// (>= now()).  Consumes one sequence number, as schedule_at() does.
   [[nodiscard]] Ticket ticket(Time t) {
-    if (t < now_) throw std::logic_error("Engine::ticket: time in the past");
-    return Ticket{t, next_seq_++};
+    if (t < s_.now) throw std::logic_error("Engine::ticket: time in the past");
+    return Ticket{t, s_.next_seq++};
   }
 
   /// Schedule `cb` to run at absolute time `t` (>= now()).
@@ -98,7 +97,7 @@ class Engine {
   template <typename F, typename = std::enable_if_t<
                             std::is_constructible_v<Callback, F&&>>>
   EventId schedule_at(Ticket tk, F&& cb) {
-    if (tk.t < now_) {
+    if (tk.t < s_.now) {
       throw std::logic_error("Engine::schedule_at: ticket in the past");
     }
     reject_empty(cb);
@@ -109,7 +108,7 @@ class Engine {
   template <typename F, typename = std::enable_if_t<
                             std::is_constructible_v<Callback, F&&>>>
   EventId schedule_after(Time delay, F&& cb) {
-    return schedule_at(now_ + delay, std::forward<F>(cb));
+    return schedule_at(s_.now + delay, std::forward<F>(cb));
   }
 
   /// Cancel a pending event.  Returns false if it already ran, was already
@@ -123,9 +122,9 @@ class Engine {
     Slot& slot = slot_ref(s);
     slot.cb.reset();  // release captured resources now, not at slot reuse
     slot.cur_seq = 0;
-    queue_.remove_staged(static_cast<std::uint64_t>(slot.link) << 32 | s);
+    s_.queue.remove_staged(static_cast<std::uint64_t>(slot.link) << 32 | s);
     free_slot(s);
-    --live_;
+    --s_.live;
     return true;
   }
 
@@ -148,32 +147,34 @@ class Engine {
     return EventId{encode(s, seq_lo)};
   }
 
-  /// Run all events with timestamp <= `t`; afterwards now() == max(t, now).
+  /// Run all events with timestamp <= `t`; afterwards now() == max(t, now),
+  /// unless stop() ended the call early: then now() stays at the instant
+  /// of the event that called stop().
   /// Returns the number of events dispatched.
   std::size_t run_until(Time t);
 
   /// Run for a further duration `d` of simulated time.
-  std::size_t run_for(Time d) { return run_until(now_ + d); }
+  std::size_t run_for(Time d) { return run_until(s_.now + d); }
 
   /// Run until the event queue drains (or stop() is called).
   std::size_t run();
 
   /// Request the current run_*() call to return after the current event.
-  void stop() { stopped_ = true; }
+  void stop() { s_.stopped = true; }
 
   /// Number of events dispatched since construction.
-  [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
+  [[nodiscard]] std::uint64_t dispatched() const { return s_.dispatched; }
 
   /// Number of live (non-cancelled) events still queued.
-  [[nodiscard]] std::size_t pending() const { return live_; }
+  [[nodiscard]] std::size_t pending() const { return s_.live; }
 
   /// Entries pushed into the event queue: one per scheduled event plus
   /// one per re-key.
-  [[nodiscard]] std::uint64_t pushes() const { return pushes_; }
+  [[nodiscard]] std::uint64_t pushes() const { return s_.pushes; }
 
   /// Postponed entries that surfaced and were re-keyed to their new
   /// position without dispatching.
-  [[nodiscard]] std::uint64_t rekeys() const { return rekeys_; }
+  [[nodiscard]] std::uint64_t rekeys() const { return s_.rekeys; }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFF'FFFF;
@@ -336,16 +337,16 @@ class Engine {
     slot.due = tk.t;
     slot.cur_seq = seq_lo;
     slot.link = seq_lo;
-    queue_.push(QEntry{tk.t, static_cast<std::uint64_t>(seq_lo) << 32 | s});
-    ++pushes_;
-    ++live_;
+    s_.queue.push(QEntry{tk.t, static_cast<std::uint64_t>(seq_lo) << 32 | s});
+    ++s_.pushes;
+    ++s_.live;
     return EventId{encode(s, seq_lo)};
   }
 
   // The slot `id` names if its event is still pending, else kNoSlot.
   [[nodiscard]] std::uint32_t armed_slot(EventId id) const {
     const std::uint64_t hi = id.raw >> 32;
-    if (hi == 0 || hi > slot_count_) return kNoSlot;
+    if (hi == 0 || hi > s_.slot_count) return kNoSlot;
     const auto s = static_cast<std::uint32_t>(hi - 1);
     const auto lo = static_cast<std::uint32_t>(id.raw);
     if (lo == 0 || slot_ref(s).cur_seq != lo) return kNoSlot;
@@ -360,10 +361,10 @@ class Engine {
   }
   void rekey(Slot& slot, std::uint32_t s) {
     slot.link = slot.cur_seq;
-    queue_.push(
+    s_.queue.push(
         QEntry{slot.due, static_cast<std::uint64_t>(slot.cur_seq) << 32 | s});
-    ++pushes_;
-    ++rekeys_;
+    ++s_.pushes;
+    ++s_.rekeys;
   }
 
   // Slots live in fixed-size chunks; growing appends a chunk and never
@@ -378,47 +379,72 @@ class Engine {
   static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
   // First-chunk fast path: most runs never outgrow the first chunk, and
-  // its address is stable for the Engine's lifetime, so one cached
-  // pointer replaces the vector -> unique_ptr -> slot load chain with a
-  // single perfectly-predicted branch and one load.
+  // its buffer never moves, so one cached pointer replaces the vector ->
+  // vector -> slot load chain with a single perfectly-predicted branch
+  // and one load.  (Growing the outer vector moves the inner vector
+  // objects, never their buffers.)
   [[nodiscard]] Slot& slot_ref(std::uint32_t s) {
     return s < kChunkSize ? chunk0_[s]
-                          : chunks_[s >> kChunkBits][s & (kChunkSize - 1)];
+                          : s_.chunks[s >> kChunkBits][s & (kChunkSize - 1)];
   }
   [[nodiscard]] const Slot& slot_ref(std::uint32_t s) const {
     return s < kChunkSize ? chunk0_[s]
-                          : chunks_[s >> kChunkBits][s & (kChunkSize - 1)];
+                          : s_.chunks[s >> kChunkBits][s & (kChunkSize - 1)];
   }
   std::uint32_t alloc_slot() {
-    if (free_head_ != kNoSlot) {
-      const std::uint32_t s = free_head_;
-      free_head_ = slot_ref(s).link;
+    if (s_.free_head != kNoSlot) {
+      const std::uint32_t s = s_.free_head;
+      s_.free_head = slot_ref(s).link;
       return s;
     }
-    if ((slot_count_ & (kChunkSize - 1)) == 0) {
-      // canely-lint: allow(hot-path-transitive) — chunk growth is amortized (every 32nd slot); steady-state scheduling reuses freed slots allocation-free
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-      if (slot_count_ == 0) chunk0_ = chunks_.front().get();
+    if ((s_.slot_count & (kChunkSize - 1)) == 0) {
+      // Amortized: every 32nd slot; steady-state scheduling reuses freed
+      // slots allocation-free.
+      s_.chunks.emplace_back(kChunkSize);
+      if (s_.slot_count == 0) chunk0_ = s_.chunks.front().data();
     }
-    return slot_count_++;
+    return s_.slot_count++;
   }
   void free_slot(std::uint32_t s) {
-    slot_ref(s).link = free_head_;
-    free_head_ = s;
+    slot_ref(s).link = s_.free_head;
+    s_.free_head = s;
   }
 
-  EventQueue queue_;
-  Slot* chunk0_{nullptr};  // cached chunks_[0].get(); address is stable
-  std::vector<std::unique_ptr<Slot[]>> chunks_;  // stable slot storage
-  std::uint32_t slot_count_{0};    // slots ever allocated (high-water mark)
-  std::uint32_t free_head_{kNoSlot};
-  std::size_t live_{0};
-  Time now_{Time::zero()};
-  std::uint64_t next_seq_{1};
-  std::uint64_t dispatched_{0};
-  std::uint64_t pushes_{0};
-  std::uint64_t rekeys_{0};
-  bool stopped_{false};
+  // Cached s_.chunks[0].data(): a chunk's buffer never moves while the
+  // chunk exists, and restore() refreshes the cache.
+  Slot* chunk0_{nullptr};
+
+ public:
+  /// Every mutable member of the engine, value-typed: checkpoint() and
+  /// restore() are copy-assignments, so a restored engine dispatches
+  /// exactly the events, in exactly the order, of the checkpointed one.
+  /// Pending callbacks are copied with their captures, which name
+  /// objects of the universe they were scheduled in — restore() is for
+  /// the engine the state was taken from.
+  struct State {
+    EventQueue queue;
+    // Fixed-size chunks of kChunkSize slots (see slot_ref).
+    std::vector<std::vector<Slot>> chunks;
+    std::uint32_t slot_count{0};  // slots ever allocated (high-water mark)
+    std::uint32_t free_head{kNoSlot};
+    std::size_t live{0};
+    Time now{Time::zero()};
+    std::uint64_t next_seq{1};
+    std::uint64_t dispatched{0};
+    std::uint64_t pushes{0};
+    std::uint64_t rekeys{0};
+    bool stopped{false};
+  };
+
+  void checkpoint(State& out) const { out = s_; }
+  /// Between run_*() calls only, never from inside a callback.
+  void restore(const State& in) {
+    s_ = in;
+    chunk0_ = s_.chunks.empty() ? nullptr : s_.chunks.front().data();
+  }
+
+ private:
+  State s_;
 };
 
 }  // namespace canely::sim

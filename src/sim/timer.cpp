@@ -17,9 +17,9 @@ constexpr TimerId encode(std::uint32_t slot, std::uint32_t gen) {
 
 std::uint32_t TimerService::armed_slot(TimerId id) const {
   const std::uint64_t hi = id >> 32;
-  if (hi == 0 || hi > slots_.size()) return kNoSlot;
+  if (hi == 0 || hi > s_.slots.size()) return kNoSlot;
   const auto s = static_cast<std::uint32_t>(hi - 1);
-  const Slot& slot = slots_[s];
+  const Slot& slot = s_.slots[s];
   if (slot.pos == kNoSlot || slot.gen != static_cast<std::uint32_t>(id)) {
     return kNoSlot;
   }
@@ -27,42 +27,42 @@ std::uint32_t TimerService::armed_slot(TimerId id) const {
 }
 
 void TimerService::release(std::uint32_t s) {
-  Slot& slot = slots_[s];
+  Slot& slot = s_.slots[s];
   slot.pos = kNoSlot;
-  slot.next_free = free_head_;
-  free_head_ = s;
+  slot.next_free = s_.free_head;
+  s_.free_head = s;
 }
 
 void TimerService::sift_up(std::uint32_t i) {
-  const Armed a = heap_[i];
+  const Armed a = s_.heap[i];
   while (i > 0) {
     const std::uint32_t parent = (i - 1) / 2;
-    if (!(a.at < heap_[parent].at)) break;
-    heap_set(i, heap_[parent]);
+    if (!(a.at < s_.heap[parent].at)) break;
+    heap_set(i, s_.heap[parent]);
     i = parent;
   }
   heap_set(i, a);
 }
 
 void TimerService::sift_down(std::uint32_t i) {
-  const Armed a = heap_[i];
-  const auto n = static_cast<std::uint32_t>(heap_.size());
+  const Armed a = s_.heap[i];
+  const auto n = static_cast<std::uint32_t>(s_.heap.size());
   for (;;) {
     std::uint32_t child = 2 * i + 1;
     if (child >= n) break;
-    if (child + 1 < n && heap_[child + 1].at < heap_[child].at) ++child;
-    if (!(heap_[child].at < a.at)) break;
-    heap_set(i, heap_[child]);
+    if (child + 1 < n && s_.heap[child + 1].at < s_.heap[child].at) ++child;
+    if (!(s_.heap[child].at < a.at)) break;
+    heap_set(i, s_.heap[child]);
     i = child;
   }
   heap_set(i, a);
 }
 
 void TimerService::heap_erase(std::uint32_t i) {
-  const Armed last = heap_.back();
-  heap_.pop_back();
-  if (i == heap_.size()) return;
-  const bool up = last.at < heap_[i].at;
+  const Armed last = s_.heap.back();
+  s_.heap.pop_back();
+  if (i == s_.heap.size()) return;
+  const bool up = last.at < s_.heap[i].at;
   heap_set(i, last);
   if (up) {
     sift_up(i);
@@ -72,55 +72,55 @@ void TimerService::heap_erase(std::uint32_t i) {
 }
 
 void TimerService::move_wake() {
-  if (heap_.empty()) {
-    engine_.cancel(wake_);
-    wake_ = EventId{};
-    wake_at_ = Ticket{};
+  if (s_.heap.empty()) {
+    engine_.cancel(s_.wake);
+    s_.wake = EventId{};
+    s_.wake_at = Ticket{};
     return;
   }
-  const Ticket due = heap_.front().at;
-  if (wake_.valid()) {
-    if (wake_at_ < due) {
-      wake_ = engine_.postpone(wake_, due);
-      wake_at_ = due;
+  const Ticket due = s_.heap.front().at;
+  if (s_.wake.valid()) {
+    if (s_.wake_at < due) {
+      s_.wake = engine_.postpone(s_.wake, due);
+      s_.wake_at = due;
       return;
     }
-    engine_.cancel(wake_);  // an earlier minimum: the entry must move up
+    engine_.cancel(s_.wake);  // an earlier minimum: the entry must move up
   }
-  wake_ = engine_.schedule_at(due, [this] { on_wake(); });
-  wake_at_ = due;
+  s_.wake = engine_.schedule_at(due, [this] { on_wake(); });
+  s_.wake_at = due;
 }
 
 void TimerService::on_wake() {
-  wake_ = EventId{};  // this event is being dispatched
-  wake_at_ = Ticket{};
-  const std::uint32_t s = heap_.front().slot;
+  s_.wake = EventId{};  // this event is being dispatched
+  s_.wake_at = Ticket{};
+  const std::uint32_t s = s_.heap.front().slot;
   heap_erase(0);
-  Callback cb = std::move(cbs_[s]);
+  Callback cb = std::move(s_.cbs[s]);
   // Release and re-arm the wake before invoking, so the callback
   // observes the timer as inactive and may start, restart or cancel
   // alarms — including reusing this slot under a fresh generation.
   release(s);
   sync_wake();
-  cb();  // may reallocate slots_ and heap_
+  cb();  // may reallocate s_.slots and s_.heap
 }
 
 TimerId TimerService::start_alarm(Time duration, Callback on_expiry) {
   const Ticket at = engine_.ticket(engine_.now() + duration);
   std::uint32_t s;
-  if (free_head_ != kNoSlot) {
-    s = free_head_;
-    free_head_ = slots_[s].next_free;
+  if (s_.free_head != kNoSlot) {
+    s = s_.free_head;
+    s_.free_head = s_.slots[s].next_free;
   } else {
-    slots_.emplace_back();
-    cbs_.emplace_back();
-    s = static_cast<std::uint32_t>(slots_.size() - 1);
+    s_.slots.emplace_back();
+    s_.cbs.emplace_back();
+    s = static_cast<std::uint32_t>(s_.slots.size() - 1);
   }
-  Slot& slot = slots_[s];
+  Slot& slot = s_.slots[s];
   ++slot.gen;
-  cbs_[s] = std::move(on_expiry);
-  heap_.push_back(Armed{at, s});
-  sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+  s_.cbs[s] = std::move(on_expiry);
+  s_.heap.push_back(Armed{at, s});
+  sift_up(static_cast<std::uint32_t>(s_.heap.size() - 1));
   sync_wake();
   return encode(s, slot.gen);
 }
@@ -129,9 +129,9 @@ bool TimerService::restart_alarm(TimerId id, Time duration) {
   const std::uint32_t s = armed_slot(id);
   if (s == kNoSlot) return false;
   const Ticket at = engine_.ticket(engine_.now() + duration);
-  const std::uint32_t i = slots_[s].pos;
-  const bool up = at < heap_[i].at;
-  heap_[i].at = at;
+  const std::uint32_t i = s_.slots[s].pos;
+  const bool up = at < s_.heap[i].at;
+  s_.heap[i].at = at;
   if (up) {
     sift_up(i);
   } else {
@@ -144,8 +144,8 @@ bool TimerService::restart_alarm(TimerId id, Time duration) {
 bool TimerService::cancel_alarm(TimerId id) {
   const std::uint32_t s = armed_slot(id);
   if (s == kNoSlot) return false;
-  heap_erase(slots_[s].pos);
-  cbs_[s].reset();
+  heap_erase(s_.slots[s].pos);
+  s_.cbs[s].reset();
   release(s);
   sync_wake();
   return true;
@@ -153,15 +153,15 @@ bool TimerService::cancel_alarm(TimerId id) {
 
 Time TimerService::deadline(TimerId id) const {
   const std::uint32_t s = armed_slot(id);
-  return s == kNoSlot ? Time::max() : heap_[slots_[s].pos].at.t;
+  return s == kNoSlot ? Time::max() : s_.heap[s_.slots[s].pos].at.t;
 }
 
 void TimerService::cancel_all() {
-  for (const Armed& a : heap_) {
-    cbs_[a.slot].reset();
+  for (const Armed& a : s_.heap) {
+    s_.cbs[a.slot].reset();
     release(a.slot);
   }
-  heap_.clear();
+  s_.heap.clear();
   sync_wake();
 }
 

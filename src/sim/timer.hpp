@@ -51,9 +51,9 @@ class TimerService {
   /// every run; more alarms still work, growing as before.
   explicit TimerService(Engine& engine, std::size_t capacity = 0)
       : engine_{engine} {
-    slots_.reserve(capacity);
-    cbs_.reserve(capacity);
-    heap_.reserve(capacity);
+    s_.slots.reserve(capacity);
+    s_.cbs.reserve(capacity);
+    s_.heap.reserve(capacity);
   }
   TimerService(const TimerService&) = delete;
   TimerService& operator=(const TimerService&) = delete;
@@ -82,7 +82,7 @@ class TimerService {
   [[nodiscard]] Time deadline(TimerId id) const;
 
   /// Number of pending alarms.
-  [[nodiscard]] std::size_t pending_count() const { return heap_.size(); }
+  [[nodiscard]] std::size_t pending_count() const { return s_.heap.size(); }
 
   /// Cancel every pending alarm (used when a node crashes).
   void cancel_all();
@@ -92,7 +92,7 @@ class TimerService {
 
   struct Slot {
     std::uint32_t gen{0};
-    std::uint32_t pos{kNoSlot};  // index in heap_ while armed
+    std::uint32_t pos{kNoSlot};  // index in s_.heap while armed
     std::uint32_t next_free{kNoSlot};
   };
 
@@ -105,8 +105,8 @@ class TimerService {
   [[nodiscard]] std::uint32_t armed_slot(TimerId id) const;
   void release(std::uint32_t s);
   void heap_set(std::uint32_t i, const Armed& a) {
-    heap_[i] = a;
-    slots_[a.slot].pos = i;
+    s_.heap[i] = a;
+    s_.slots[a.slot].pos = i;
   }
   void sift_up(std::uint32_t i);
   void sift_down(std::uint32_t i);
@@ -115,18 +115,33 @@ class TimerService {
   // armed set; the common case — the minimum did not change — is one
   // compare (sequence numbers are unique, so equal seq = equal ticket).
   void sync_wake() {
-    if (heap_.empty() || heap_.front().at.seq != wake_at_.seq) move_wake();
+    if (s_.heap.empty() || s_.heap.front().at.seq != s_.wake_at.seq) {
+      move_wake();
+    }
   }
   void move_wake();
   void on_wake();
 
   Engine& engine_;
-  std::vector<Slot> slots_;   // grows to the max concurrent alarm count
-  std::vector<Callback> cbs_;  // expiry callbacks, indexed like slots_
-  std::vector<Armed> heap_;   // min-heap on Armed::at
-  std::uint32_t free_head_{kNoSlot};
-  EventId wake_{};            // engine event at heap_[0].at, if any
-  Ticket wake_at_{};          // where wake_ dispatches; seq 0 = no wake
+
+ public:
+  /// Every mutable member of the service, value-typed (Engine::State
+  /// explains the contract): checkpoint() and restore() are
+  /// copy-assignments, expiry callbacks included.
+  struct State {
+    std::vector<Slot> slots;   // grows to the max concurrent alarm count
+    std::vector<Callback> cbs;  // expiry callbacks, indexed like slots
+    std::vector<Armed> heap;   // min-heap on Armed::at
+    std::uint32_t free_head{kNoSlot};
+    EventId wake{};            // engine event at heap[0].at, if any
+    Ticket wake_at{};          // where wake dispatches; seq 0 = no wake
+  };
+
+  void checkpoint(State& out) const { out = s_; }
+  void restore(const State& in) { s_ = in; }
+
+ private:
+  State s_;
 };
 
 }  // namespace canely::sim

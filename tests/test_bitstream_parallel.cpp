@@ -149,9 +149,9 @@ TEST(BitstreamParallel, PackedSerializationMatchesRawBitsOn10kFrames) {
     const std::size_t want =
         n + count_stuff_bits_reference({raw, n}) + kFrameTailBits;
 
-    // frame_bits_on_wire runs the fully packed path on a memo miss.
-    Frame fresh = f;
-    fresh.wire_memo_key = 0;
+    // frame_bits_on_wire runs the fully packed path on a memo miss
+    // (random frames almost never repeat in the per-thread table).
+    const Frame& fresh = f;
     ASSERT_EQ(frame_bits_on_wire(fresh), want)
         << "iter " << iter << " id " << f.id << " dlc " << int{f.dlc}
         << " remote " << f.remote

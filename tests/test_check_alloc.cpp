@@ -8,8 +8,10 @@
 //
 //  * the heap bytes of a zero-duration run — the fixed set-up and
 //    teardown of the universe, whose per-run tables must scale with n
-//    (an n x n FDA monitor table, a small first event-slot chunk, timer
-//    storage sized once per node), not with can::kMaxNodes;
+//    (an n x n FDA monitor table, per-node install, agreed-RHV and
+//    end-state tables, a small first event-slot chunk, timer storage
+//    sized once per node, driver handlers only for registered message
+//    types), not with can::kMaxNodes;
 //  * the allocations a fault-free 160 ms run makes beyond a zero-duration
 //    one — a few monitor and queue vectors growing, nothing per frame
 //    (the bus calls its observer without copying it) and nothing per
@@ -87,7 +89,7 @@ TEST(CheckAlloc, ZeroDurationRunHeapBytesScaleWithN) {
   const Heap zero = run_heap(s.zero);
   // A 64 x 64 FDA monitor table or a 1,024-slot first event chunk
   // would add ~64 KB and ~80 KB here.
-  EXPECT_EQ(zero.bytes, 21'248u);
+  EXPECT_EQ(zero.bytes, 18'248u);
   EXPECT_EQ(run_heap(s.zero).bytes, zero.bytes);  // a pure function of cfg
 }
 
@@ -97,7 +99,7 @@ TEST(CheckAlloc, FaultFreeRunAddsNoPerFrameOrPerAlarmAllocations) {
   const Heap full = run_heap(s.full);
   // Copying the bus observer would add one per frame (99), and timer
   // storage regrowing from empty ~15 per node.
-  EXPECT_EQ(full.news - zero.news, 24u);
+  EXPECT_EQ(full.news - zero.news, 16u);
 }
 
 }  // namespace

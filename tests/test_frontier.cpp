@@ -143,10 +143,13 @@ TEST(Frontier, DedupOnAndOffProduceIdenticalVerdicts) {
 
   // The dedup run must actually have skipped (and rejoined) something
   // for this test to mean anything, and every tripwire re-execution —
-  // one per skip and one per rejoin — must have agreed.
+  // one per skip, one per rejoin, and one per unit simulated from a
+  // checkpoint (every unit not skipped) — must have agreed.
   EXPECT_GT(deduped.dedup_skips, 0u);
   EXPECT_GT(deduped.rejoined, 0u);
-  EXPECT_EQ(deduped.dedup_verified, deduped.dedup_skips + deduped.rejoined);
+  const std::size_t restored = deduped.placements - deduped.dedup_skips;
+  EXPECT_EQ(deduped.dedup_verified,
+            deduped.dedup_skips + deduped.rejoined + restored);
   EXPECT_EQ(deduped.dedup_mismatches, 0u);
   // Discounting the tripwire re-executions, dedup saved real runs.
   EXPECT_LT(deduped.runs - deduped.dedup_verified, plain.runs);
@@ -195,7 +198,8 @@ TEST(Frontier, RejoinKeepsFrontierByteIdenticalOnAViolatingSpace) {
   EXPECT_GT(rejoining.rejoined, 0u);
   EXPECT_EQ(plain.rejoined, 0u);  // --no-dedup disables rejoin
   EXPECT_EQ(rejoining.dedup_verified,
-            rejoining.dedup_skips + rejoining.rejoined);
+            rejoining.dedup_skips + rejoining.rejoined +
+                (rejoining.placements - rejoining.dedup_skips));
   EXPECT_EQ(rejoining.dedup_mismatches, 0u);
   EXPECT_EQ(slurp(on), slurp(off));
 
@@ -220,6 +224,41 @@ TEST(Frontier, OneSlotPrefixCacheKeepsRejoinsAndRecords) {
   EXPECT_EQ(tiny.runs, roomy.runs);
   EXPECT_EQ(tiny.aggregate_hash, roomy.aggregate_hash);
   EXPECT_EQ(tiny.violations.size(), roomy.violations.size());
+}
+
+// With dedup off nothing holds a pending unit's base in the cache, so a
+// one-slot cache hands every base of a chunk the same slot.  Units of
+// consecutive bases that target the same attempt must still start from
+// their own base's checkpoint: records equal the roomy-cache run's, and
+// the tripwire re-runs every restored unit in a fresh universe.
+TEST(Frontier, OneSlotPrefixCacheWithoutDedupKeepsEachUnitsBase) {
+  const std::string roomy_path = temp_path("frontier_nodedup_roomy.json");
+  const std::string tiny_path = temp_path("frontier_nodedup_tiny.json");
+  std::remove(roomy_path.c_str());
+  std::remove(tiny_path.c_str());
+
+  ExploreConfig cfg = smoke_config();
+  cfg.dedup = false;
+  cfg.max_bases = 16;
+  cfg.depth2_targets = 1;
+  cfg.dedup_verify_every = 1;
+  cfg.checkpoint_every = 4096;  // one final write: compare final bytes
+  cfg.frontier_path = roomy_path;
+  const ExploreResult roomy = check::explore(cfg);
+  cfg.prefix_cache_cells = 1;
+  cfg.frontier_path = tiny_path;
+  const ExploreResult tiny = check::explore(cfg);
+
+  EXPECT_EQ(roomy.dedup_verified, roomy.placements);
+  EXPECT_EQ(tiny.dedup_verified, tiny.placements);
+  EXPECT_EQ(roomy.dedup_mismatches, 0u);
+  EXPECT_EQ(tiny.dedup_mismatches, 0u);
+  EXPECT_EQ(tiny.prefix_runs, roomy.prefix_runs);
+  expect_same_exploration(tiny, roomy);
+  EXPECT_EQ(slurp(tiny_path), slurp(roomy_path));
+
+  std::remove(roomy_path.c_str());
+  std::remove(tiny_path.c_str());
 }
 
 // --- prefix cache vs from-scratch oracle ------------------------------------

@@ -7,8 +7,10 @@
 #   tools/ci.sh ubsan      UBSan-only build (catches UB that ASan's
 #                          shadow memory hides or alters), full ctest
 #   tools/ci.sh tsan       ThreadSanitizer build, campaign-runner tests
-#                          (the only code that spawns threads) + benches
-#                          at --threads 4
+#                          (the only code that spawns threads), the
+#                          checker's explorer tests (pooled universes
+#                          handed between runner threads) + benches at
+#                          --threads 4
 #   tools/ci.sh perf       Release build, full perf_core run; regression
 #                          guard against the committed BENCH_core.json:
 #                          any cell slower than (1 - CANELY_PERF_TOLERANCE,
@@ -20,7 +22,9 @@
 #                          --threads or --frontier; sharded and --no-dedup
 #                          depth-2 frontiers must equal the whole run's;
 #                          so must an FDA-on violating late-base slice's
-#                          across threads and --no-dedup, tripwire clean
+#                          across threads and --no-dedup, tripwire clean;
+#                          an explore_ablation-shaped run re-runs every
+#                          restored unit in a fresh universe, clean
 #   tools/ci.sh shootout   Release build of bench/membership_shootout;
 #                          the --quick grid (4 protocols x n=8,32) must
 #                          converge on every cell, emit a structurally
@@ -69,10 +73,15 @@ stage_tsan() {
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" >/dev/null
   # Only the campaign runner spawns threads; build and exercise exactly
   # the targets that drive its pool, rather than the whole (serial) suite.
+  # The explorer runs its units as tasks on pooled universes that pass
+  # between the runner's threads: its tests run here too.
   cmake --build "$dir" -j "$JOBS" --target \
-    test_campaign fault_campaign fig10_bandwidth \
-    ablation_heartbeat ablation_cycle_skip ablation_fda
-  "$dir/tests/test_campaign"
+    test_campaign test_check test_frontier test_universe fault_campaign \
+    fig10_bandwidth ablation_heartbeat ablation_cycle_skip ablation_fda
+  local t
+  for t in test_campaign test_check test_frontier test_universe; do
+    "$dir/tests/$t"
+  done
   for bench in fault_campaign fig10_bandwidth ablation_heartbeat \
                ablation_cycle_skip ablation_fda; do
     echo "--- tsan: $bench --threads 4 ---"
@@ -250,6 +259,24 @@ stage_check() {
     fi
   done
   echo "check: targeted search + walks identical across threads and frontier"
+
+  # The explore_ablation shape (FDA off, n = 10, targeted depth 2 plus
+  # walks), clipped: every unit simulated from a checkpoint is re-run in
+  # a fresh universe, and the restore tripwire must stay clean.
+  local arc=0 abl
+  abl="$("$dir/bench/check_explorer" --no-fda --nodes 10 --max-bases 24 \
+    --random-walks 16 --no-shrink --verify-every 1 --threads 4 \
+    --artifact "$tdir/ablation_trip.artifact.json")" || arc=$?
+  if [ "$arc" -gt 1 ]; then
+    echo "check: ablation-shaped tripwire run exited $arc" >&2
+    exit 1
+  fi
+  abl="$(echo "$abl" | grep 'dedup tripwire')"
+  echo "$abl"
+  case "$abl" in
+    *" 0 mismatches") ;;
+    *) echo "check: restore tripwire mismatch (ablation shape)" >&2; exit 1 ;;
+  esac
 
   # Depth-2 exhaustive smoke: a tightly budgeted cross product must
   # complete, and two shards merged must be byte-identical to the
